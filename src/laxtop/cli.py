@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .errors import LaxtopError, ParseError, SchemaError
-from .finspace import cmap, sober_report
+from .errors import LaxtopError, ParseError, SchemaError, work_cap
+from .finspace import sober_report
 from .harness import HarnessConfig, paper_check
 from .laxcomma import (
     exponentiability_report,
@@ -24,7 +23,6 @@ from .order import distributivity_report, heyting_report, lattice_report
 from .descent import (
     DescentReport,
     laxcomma_effective_descent,
-    top_descent_check,
     top_effective_descent_check,
 )
 from .famx import fam_descent_check, fam_effective_descent_check
@@ -36,18 +34,12 @@ from .serialization import (
     lax_object_to_dict,
     load_json,
     map_from_dict,
-    map_to_dict,
     parallel_pair_from_dict,
     space_from_dict,
     space_to_dict,
     to_json,
 )
 from .vietoris import vietoris_algebra_check, vietoris_space
-
-
-def _cap():
-    raw = os.environ.get("LAXTOP_CAP")
-    return int(raw) if raw else 10**6
 
 
 def _emit(payload, as_json, out):
@@ -89,9 +81,12 @@ def _cmd_construct(args, out):
     kind = args.kind
     if kind in ("product", "sum"):
         base = space_from_dict(data["base"], "base") if "base" in data else None
+        objects = data.get("objects", [])
+        if not isinstance(objects, list):
+            raise SchemaError(f"{args.input}: field 'objects' has the wrong type")
         objs = [
             lax_object_from_dict(o, f"objects[{i}]", base, args.input)
-            for i, o in enumerate(data.get("objects", []))
+            for i, o in enumerate(objects)
         ]
         if kind == "product":
             built = lax_product(objs, base)
@@ -110,9 +105,9 @@ def _cmd_construct(args, out):
             result, oracle_kind = built.obj, "coequalizer"
             instance = {"f": f, "g": g, "coequalizer": built}
     elif kind == "exponential":
-        base = space_from_dict(data["base"], "base")
-        a_obj = lax_object_from_dict(data["a"], "a", base, args.input)
-        b_obj = lax_object_from_dict(data["b"], "b", base, args.input)
+        base = space_from_dict(data.get("base"), "base")
+        a_obj = lax_object_from_dict(data.get("a"), "a", base, args.input)
+        b_obj = lax_object_from_dict(data.get("b"), "b", base, args.input)
         built = exponential_object(a_obj, b_obj)
         result, oracle_kind = built.obj, "exponential"
         instance = {"a": a_obj, "b": b_obj, "exponential": built}
@@ -130,7 +125,7 @@ def _cmd_construct(args, out):
         if oracle_kind is None:
             payload["verified"] = "no oracle for this construction"
         else:
-            oracle = verify_universal_property(oracle_kind, instance, cap=_cap())
+            oracle = verify_universal_property(oracle_kind, instance)
             payload["verified"] = bool(oracle.ok)
             payload["oracle_checked"] = oracle.checked
             if not oracle.ok:
@@ -146,7 +141,7 @@ def _verdict_exit(report: DescentReport):
 
 def _cmd_descent(args, out):
     data = load_json(args.morphism)
-    if args.base and isinstance(data, dict):
+    if args.base:
         data = dict(data)
         data.setdefault("base", load_json(args.base))
     if args.category == "top":
@@ -218,7 +213,6 @@ def _cmd_vietoris(args, out):
 def _cmd_paper_check(args, out):
     config = HarnessConfig(
         max_points=args.max_points,
-        oracle_cap=_cap(),
         seed=args.seed,
         suites=tuple(s for s in (args.suites or "").split(",") if s),
     )
@@ -299,6 +293,7 @@ def run_command(argv, out=None) -> int:
         parser.print_usage(out)
         return 2
     try:
+        work_cap()  # a malformed LAXTOP_CAP is a usage error, whatever the command
         return _COMMANDS[args.command](args, out)
     except (ParseError, SchemaError) as exc:
         out.write(f"error: {exc}\n")

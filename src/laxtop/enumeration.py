@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceeded
+from .errors import Budget
 from .finspace import FiniteSpace
 
 
@@ -20,16 +20,17 @@ def _labels(n: int):
     return tuple(f"p{i}" for i in range(n))
 
 
-def enumerate_labeled_posets(n: int, cap: int = 10**6):
-    """All partial orders on points p0..p{n-1}, deterministically ordered."""
+def enumerate_labeled_posets(n: int, cap: int | None = None):
+    """All partial orders on points p0..p{n-1}, deterministically ordered.
+
+    Each candidate down-set tried costs one unit of ``cap`` (default: the work budget).
+    """
     pts = _labels(n)
-    if n == 0:
-        return (FiniteSpace((), frozenset()),)
+    budget = Budget("labeled poset search", cap)
     options = []  # per point, candidate strict-down-set masks
     for i in range(n):
         options.append([m for m in range(1 << n) if not m >> i & 1])
     out = []
-    visited = 0
 
     def consistent(downs, i):
         di = downs[i]
@@ -44,7 +45,6 @@ def enumerate_labeled_posets(n: int, cap: int = 10**6):
         return True
 
     def rec(downs):
-        nonlocal visited
         i = len(downs)
         if i == n:
             le = frozenset(
@@ -58,10 +58,8 @@ def enumerate_labeled_posets(n: int, cap: int = 10**6):
             )
             out.append(FiniteSpace(pts, le))
             return
+        budget.spend(len(options[i]))
         for m in options[i]:
-            visited += 1
-            if visited > cap:
-                raise CapExceeded(f"labeled poset search budget {cap} exceeded")
             downs.append(m)
             if consistent(downs, i):
                 rec(downs)
@@ -150,9 +148,9 @@ def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:
     return False
 
 
-def enumerate_posets(n: int, mode: str = "unlabeled", cap: int = 10**6):
+def enumerate_posets(n: int, mode: str = "unlabeled"):
     """Stream of posets on n points; one space per isomorphism class if unlabeled."""
-    labeled = enumerate_labeled_posets(n, cap)
+    labeled = enumerate_labeled_posets(n)
     if mode == "labeled":
         return labeled
     if mode != "unlabeled":
@@ -166,14 +164,11 @@ def enumerate_posets(n: int, mode: str = "unlabeled", cap: int = 10**6):
     return tuple(seen[k] for k in sorted(seen))
 
 
-def enumerate_labeled_preorders(n: int, cap: int = 10**6):
+def enumerate_labeled_preorders(n: int):
     """All preorders on p0..p{n-1} by brute force over strict-pair masks."""
     pts = _labels(n)
-    if n == 0:
-        return (FiniteSpace((), frozenset()),)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if 1 << len(pairs) > cap:
-        raise CapExceeded(f"preorder search budget {cap} exceeded")
+    Budget("preorder search").spend(1 << len(pairs))
     out = []
     for mask in range(1 << len(pairs)):
         rel = {(i, i) for i in range(n)}

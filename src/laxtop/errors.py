@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all laxtop modules."""
+"""Exception hierarchy shared by all laxtop modules, and the work budget."""
+
+import os
 
 
 class LaxtopError(Exception):
@@ -103,3 +105,29 @@ class ParseError(LaxtopError):
 
 class SchemaError(LaxtopError):
     pass
+
+
+WORK_CAP = 10**6  # units of work one search may spend when LAXTOP_CAP is unset
+
+
+def work_cap() -> int:
+    """``LAXTOP_CAP`` if set, else ``WORK_CAP``; SchemaError unless a positive integer."""
+    raw = os.environ.get("LAXTOP_CAP") or str(WORK_CAP)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise SchemaError(f"LAXTOP_CAP must be a positive integer, not {raw!r}")
+    return int(raw)
+
+
+class Budget:
+    """The work one call of an exhaustive search may do: charged before the
+    work it counts, ``spend`` raises ``CapExceeded`` past the cap."""
+
+    def __init__(self, search: str, cap: int | None = None):
+        self.search = search
+        self.cap = work_cap() if cap is None else cap
+        self.used = 0
+
+    def spend(self, n: int = 1):
+        self.used += n
+        if self.used > self.cap:
+            raise CapExceeded(f"{self.search} budget {self.cap} exceeded")

@@ -9,9 +9,10 @@ often reduce to join/meet conditions on the family values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, CapExceeded, InternalInconsistency, NotALattice
+from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice
 from .finspace import FiniteSpace
 from .laxcomma import LaxMorphism, LaxObject
 from .order import lattice_ops, lattice_report
@@ -135,10 +136,7 @@ def fam_descent_check(f: FamMorphism) -> FamVerdict:
     return FamVerdict(True, None)
 
 
-_THETA_CAP = 10**6
-
-
-def _fibre_effective(base, ops, fibre_values, cap):
+def _fibre_effective(base, ops, fibre_values):
     """Check every compatible sub-family theta splits off a single bundle.
 
     theta ranges over choices theta_i <= x_i with x_{i'} ^ theta_i =
@@ -146,11 +144,7 @@ def _fibre_effective(base, ops, fibre_values, cap):
     theta_i = x_i ^ (join of all theta).  Returns (ok, witness theta).
     """
     downs = [[z for z in base.points if base.leq(z, x)] for x in fibre_values]
-    total = 1
-    for d in downs:
-        total *= len(d)
-        if total > cap:
-            raise CapExceeded(f"theta enumeration needs {total}+ candidates")
+    Budget("theta candidate").spend(math.prod(len(d) for d in downs))
     for theta in itertools.product(*downs):
         compatible = all(
             ops.meet(fibre_values[k], theta[l]) == ops.meet(theta[k], fibre_values[l])
@@ -167,7 +161,7 @@ def _fibre_effective(base, ops, fibre_values, cap):
     return True, None
 
 
-def fam_effective_descent_check(f: FamMorphism, cap: int = _THETA_CAP) -> FamVerdict:
+def fam_effective_descent_check(f: FamMorphism) -> FamVerdict:
     """Effective descent: descent plus per-fibre splitting of descent data.
 
     Over a frame base, descent already implies effectiveness and the verdict
@@ -188,7 +182,7 @@ def fam_effective_descent_check(f: FamMorphism, cap: int = _THETA_CAP) -> FamVer
     witness = None
     for j in f.target.index:
         fibre_values = [f.source.value(i) for i in f.fibre(j)]
-        ok, theta = _fibre_effective(base, ops, fibre_values, cap)
+        ok, theta = _fibre_effective(base, ops, fibre_values)
         if not ok:
             witness = (j, tuple(zip(f.fibre(j), theta)))
             break

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .errors import LaxtopError, MeetsMissing
+from .errors import LaxtopError, MeetsMissing, SchemaError
 from .finspace import (
-    FiniteSpace,
     build_space,
-    cmap,
     enumerate_cmaps,
-    identity_map,
     is_continuous,
     product_space,
     sober_report,
@@ -38,7 +35,6 @@ from .laxcomma import (
     LaxObject,
     exponential_object,
     exponentiability_report,
-    function_label,
     lan_extension,
     lax_hom,
     lax_object,
@@ -76,12 +72,12 @@ from . import spaces
 @dataclass(frozen=True)
 class HarnessConfig:
     max_points: int = 4
-    oracle_cap: int = 10**6
     seed: int = 0
     suites: tuple = ()  # empty: run everything
 
     def __post_init__(self):
-        assert self.max_points >= 1 and self.oracle_cap > 0
+        if self.max_points < 1:
+            raise SchemaError(f"max_points must be at least 1, not {self.max_points}")
 
 
 @dataclass
@@ -862,7 +858,6 @@ class Report:
             "format_version": self.format_version,
             "config": {
                 "max_points": self.config.max_points,
-                "oracle_cap": self.config.oracle_cap,
                 "seed": self.config.seed,
                 "suites": sorted(self.config.suites),
             },

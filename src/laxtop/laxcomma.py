@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .errors import (
     BaseMismatch,
-    CapExceeded,
+    Budget,
     InternalInconsistency,
-    MeetsMissing,
     NotAChain,
     NotClosedLevel,
     NotHeyting,
@@ -27,7 +26,6 @@ from .errors import (
 from .finspace import (
     CMap,
     FiniteSpace,
-    build_space,
     cmap,
     enumerate_cmaps,
     identity_map,
@@ -559,23 +557,12 @@ def default_test_objects(base: FiniteSpace):
     return out
 
 
-class _Budget:
-    def __init__(self, cap):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.cap:
-            raise CapExceeded(f"oracle candidate budget {self.cap} exceeded")
-
-
-def verify_product(objects, product: LaxProduct, test_objects=None, cap=10**6) -> OracleResult:
+def verify_product(objects, product: LaxProduct, test_objects=None) -> OracleResult:
     """Every lax cone factors through the product by exactly one lax morphism."""
     objects = list(objects)
     base = product.obj.base
     tests = default_test_objects(base) if test_objects is None else test_objects
-    budget = _Budget(cap)
+    budget = Budget("oracle candidate")
     checked = 0
     for cand in tests:
         legs = [lax_hom(cand, o) for o in objects]
@@ -598,11 +585,11 @@ def verify_product(objects, product: LaxProduct, test_objects=None, cap=10**6) -
 
 
 def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer,
-                       test_objects=None, cap=10**6) -> OracleResult:
+                       test_objects=None) -> OracleResult:
     """Every coequalizing lax cocone factors uniquely through the quotient."""
     base = coeq.obj.base
     tests = default_test_objects(base) if test_objects is None else test_objects
-    budget = _Budget(cap)
+    budget = Budget("oracle candidate")
     checked = 0
     q = coeq.quotient.underlying
     for cand in tests:
@@ -628,11 +615,11 @@ def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer,
 
 
 def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential,
-                       test_objects=None, cap=10**6) -> OracleResult:
+                       test_objects=None) -> OracleResult:
     """The mate correspondence is a bijection of hom-sets, both directions."""
     base = a_obj.base
     tests = default_test_objects(base) if test_objects is None else test_objects
-    budget = _Budget(cap)
+    budget = Budget("oracle candidate")
     checked = 0
     for cand in tests:
         prod = lax_product([a_obj, cand])
@@ -652,11 +639,11 @@ def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential,
 
 
 def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject,
-                        test_objects=None, cap=10**6) -> OracleResult:
+                        test_objects=None) -> OracleResult:
     """h into the lift is lax exactly when all its cone composites are lax."""
     base = lift.base
     tests = default_test_objects(base) if test_objects is None else test_objects
-    budget = _Budget(cap)
+    budget = Budget("oracle candidate")
     checked = 0
     for cand in tests:
         for h in enumerate_cmaps(cand.space, space):
@@ -671,23 +658,23 @@ def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject,
     return OracleResult(True, None, checked)
 
 
-def verify_universal_property(kind: str, instance: dict, test_objects=None, cap=10**6) -> OracleResult:
+def verify_universal_property(kind: str, instance: dict, test_objects=None) -> OracleResult:
     """Dispatch to the brute-force oracle for one construction kind."""
     if kind == "product":
         return verify_product(
-            instance["objects"], instance["product"], test_objects, cap
+            instance["objects"], instance["product"], test_objects
         )
     if kind == "coequalizer":
         return verify_coequalizer(
-            instance["f"], instance["g"], instance["coequalizer"], test_objects, cap
+            instance["f"], instance["g"], instance["coequalizer"], test_objects
         )
     if kind == "exponential":
         return verify_exponential(
-            instance["a"], instance["b"], instance["exponential"], test_objects, cap
+            instance["a"], instance["b"], instance["exponential"], test_objects
         )
     if kind == "initial_lift":
         return verify_initial_lift(
-            instance["space"], instance["cone"], instance["lift"], test_objects, cap
+            instance["space"], instance["cone"], instance["lift"], test_objects
         )
     raise ValueError(f"unknown universal property kind {kind!r}")
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    Budget,
     MeetsMissing,
     NoMeets,
     NotACompleteLattice,
@@ -307,9 +308,6 @@ class DistributivityReport:
         }
 
 
-_DISTRIBUTIVITY_POINT_CAP = 12
-
-
 def _dual(space: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(space.points, frozenset((y, x) for (x, y) in space.le))
 
@@ -340,12 +338,10 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     report = lattice_report(space)
     if not report.is_complete_lattice:
         raise NotACompleteLattice("distributivity analysis needs a complete lattice")
-    if len(space.points) > _DISTRIBUTIVITY_POINT_CAP:
-        raise NotACompleteLattice(
-            f"point count {len(space.points)} exceeds the subset-quantification cap"
-        )
-    ops = lattice_ops(space)
     pts = space.points
+    # every subset is quantified over for each pair of points
+    Budget("distributivity subset").spend(2 ** len(pts) * len(pts) ** 2)
+    ops = lattice_ops(space)
     witnesses = []
 
     try:

@@ -15,14 +15,18 @@ from .finspace import CMap, FiniteSpace, build_space, cmap
 from .laxcomma import LaxMorphism, LaxObject, lax_morphism, lax_object
 
 
-def load_json(path: str):
+def load_json(path: str) -> dict:
+    """The JSON object in a file; every laxtop file format is an object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return data
 
 
 def to_json(data) -> str:
@@ -38,17 +42,37 @@ def _need(data, field, kind, where):
     return value
 
 
+def _labels(value, where, pair=False):
+    """A list of point labels (exactly two if ``pair``), each a string."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SchemaError(f"{where}: expected a list of string labels")
+    if pair and len(value) != 2:
+        raise SchemaError(f"{where}: expected a pair of labels")
+    return value
+
+
+def _table(data, field, where):
+    """A label-to-label map field: string keys and string values."""
+    table = _need(data, field, dict, where)
+    _labels([*table, *table.values()], f"{where}.{field}")
+    return table
+
+
 def space_from_dict(data, where="space") -> FiniteSpace:
-    points = _need(data, "points", list, where)
+    points = _labels(_need(data, "points", list, where), f"{where}.points")
     topology = _need(data, "topology", dict, where)
     kind = _need(topology, "kind", str, f"{where}.topology")
     name = data.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"{where}: field 'name' has the wrong type")
     if kind == "opens":
         opens = _need(topology, "opens", list, f"{where}.topology")
-        return build_space(points, opens=[list(o) for o in opens], name=name)
+        opens = [_labels(o, f"{where}.topology.opens") for o in opens]
+        return build_space(points, opens=opens, name=name)
     if kind == "order":
         le = _need(topology, "le", list, f"{where}.topology")
-        return build_space(points, order=[tuple(p) for p in le], name=name)
+        le = [tuple(_labels(p, f"{where}.topology.le", pair=True)) for p in le]
+        return build_space(points, order=le, name=name)
     raise SchemaError(f"{where}.topology: unknown kind {kind!r}")
 
 
@@ -79,8 +103,7 @@ def _resolve_space(value, where, relative_to=None):
 def map_from_dict(data, where="map", relative_to=None) -> CMap:
     source = _resolve_space(_need(data, "source", None, where), f"{where}.source", relative_to)
     target = _resolve_space(_need(data, "target", None, where), f"{where}.target", relative_to)
-    table = _need(data, "map", dict, where)
-    return cmap(source, target, table)
+    return cmap(source, target, _table(data, "map", where))
 
 
 def map_to_dict(m: CMap) -> dict:
@@ -95,8 +118,7 @@ def lax_object_from_dict(data, where="object", base=None, relative_to=None) -> L
     if base is None:
         base = _resolve_space(_need(data, "base", None, where), f"{where}.base", relative_to)
     space = _resolve_space(_need(data, "space", None, where), f"{where}.space", relative_to)
-    alpha = _need(data, "alpha", dict, where)
-    return lax_object(space, base, alpha)
+    return lax_object(space, base, _table(data, "alpha", where))
 
 
 def lax_object_to_dict(obj: LaxObject) -> dict:
@@ -107,16 +129,21 @@ def lax_object_to_dict(obj: LaxObject) -> dict:
     }
 
 
-def lax_morphism_from_dict(data, where="morphism", relative_to=None) -> LaxMorphism:
+def _lax_maps(data, fields, where, relative_to):
+    """Lax morphisms from "source" to "target" over "base", one per map field."""
     base = _resolve_space(_need(data, "base", None, where), f"{where}.base", relative_to)
-    src = lax_object_from_dict(
-        _need(data, "source", dict, where), f"{where}.source", base, relative_to
+    src, tgt = (
+        lax_object_from_dict(_need(data, k, dict, where), f"{where}.{k}", base, relative_to)
+        for k in ("source", "target")
     )
-    tgt = lax_object_from_dict(
-        _need(data, "target", dict, where), f"{where}.target", base, relative_to
+    return tuple(
+        lax_morphism(cmap(src.space, tgt.space, _table(data, f, where)), src, tgt)
+        for f in fields
     )
-    table = _need(data, "map", dict, where)
-    return lax_morphism(cmap(src.space, tgt.space, table), src, tgt)
+
+
+def lax_morphism_from_dict(data, where="morphism", relative_to=None) -> LaxMorphism:
+    return _lax_maps(data, ("map",), where, relative_to)[0]
 
 
 def lax_morphism_to_dict(m: LaxMorphism) -> dict:
@@ -136,8 +163,8 @@ def lax_morphism_to_dict(m: LaxMorphism) -> dict:
 
 def family_from_dict(data, where="family", relative_to=None) -> FamObject:
     base = _resolve_space(_need(data, "base", None, where), f"{where}.base", relative_to)
-    index = _need(data, "index", list, where)
-    values = _need(data, "values", dict, where)
+    index = _labels(_need(data, "index", list, where), f"{where}.index")
+    values = _table(data, "values", where)
     if sorted(values) != sorted(index):
         raise SchemaError(f"{where}: values not total over index")
     return fam_object(base, values)
@@ -152,33 +179,20 @@ def family_to_dict(fam: FamObject) -> dict:
 
 
 def fam_morphism_from_dict(data, where="morphism", relative_to=None) -> FamMorphism:
-    base_val = _need(data, "base", None, where)
-    base = _resolve_space(base_val, f"{where}.base", relative_to)
-    src_data = dict(_need(data, "source", dict, where))
-    tgt_data = dict(_need(data, "target", dict, where))
-    src_data.setdefault("base", base_val)
-    tgt_data.setdefault("base", base_val)
-    values_s = _need(src_data, "values", dict, f"{where}.source")
-    values_t = _need(tgt_data, "values", dict, f"{where}.target")
-    src = fam_object(base, values_s)
-    tgt = fam_object(base, values_t)
-    table = _need(data, "map", dict, where)
+    base = _resolve_space(_need(data, "base", None, where), f"{where}.base", relative_to)
+    src, tgt = (
+        fam_object(base, _table(_need(data, k, dict, where), "values", f"{where}.{k}"))
+        for k in ("source", "target")
+    )
+    table = _table(data, "map", where)
+    if sorted(table) != sorted(src.index):
+        raise SchemaError(f"{where}: map not total over the source index")
     return fam_morphism(table, src, tgt)
 
 
 def parallel_pair_from_dict(data, where="pair", relative_to=None):
     """A parallel pair of lax morphisms sharing source and target objects."""
-    base_val = _need(data, "base", None, where)
-    base = _resolve_space(base_val, f"{where}.base", relative_to)
-    src = lax_object_from_dict(
-        _need(data, "source", dict, where), f"{where}.source", base, relative_to
-    )
-    tgt = lax_object_from_dict(
-        _need(data, "target", dict, where), f"{where}.target", base, relative_to
-    )
-    f = lax_morphism(cmap(src.space, tgt.space, _need(data, "f", dict, where)), src, tgt)
-    g = lax_morphism(cmap(src.space, tgt.space, _need(data, "g", dict, where)), src, tgt)
-    return f, g
+    return _lax_maps(data, ("f", "g"), where, relative_to)
 
 
 def cone_from_dict(data, where="cone", relative_to=None):
@@ -193,6 +207,6 @@ def cone_from_dict(data, where="cone", relative_to=None):
             base,
             relative_to,
         )
-        table = _need(leg, "map", dict, f"{where}.legs[{i}]")
+        table = _table(leg, "map", f"{where}.legs[{i}]")
         legs.append((cmap(space, obj.space, table), obj))
     return space, legs, base

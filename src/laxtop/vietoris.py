@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InternalInconsistency, NotT0
+from .errors import Budget, InternalInconsistency, NotT0
 from .finspace import CMap, FiniteSpace, cmap
 from .order import require_meets
 
@@ -34,9 +34,6 @@ class VietorisSpace:
         return set_label(subset, self.base.points)
 
 
-_HIT_CHECK_CAP = 4096  # closed-set count beyond which the topology check is skipped
-
-
 def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSpace:
     """Closed subsets under reverse containment; hit topology cross-checked.
 
@@ -46,13 +43,14 @@ def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSp
     subbasic sets.
     """
     closed = base.closed_sets()
+    Budget("Vietoris order").spend(len(closed) ** 2)
     labels = tuple(set_label(c, base.points) for c in closed)
     by_label = dict(zip(labels, closed))
     le = frozenset(
         (la, lb) for la in labels for lb in labels if by_label[la] >= by_label[lb]
     )
     space = FiniteSpace(labels, le, provenance="order")
-    if check_topology and len(closed) <= _HIT_CHECK_CAP:
+    if check_topology:
         _check_hit_topology(base, space, by_label)
     return VietorisSpace(base, space, tuple(zip(labels, closed)))
 
@@ -98,17 +96,12 @@ class VietorisMonad:
     associativity_checked: bool
 
 
-_VV_CAP = 5  # base sizes above this skip the double-powerset layer
-
-
-def vietoris_monad(base: FiniteSpace, vv_cap: int = _VV_CAP) -> VietorisMonad:
+def vietoris_monad(base: FiniteSpace) -> VietorisMonad:
     """Unit = closure of a point, multiplication = union; laws verified."""
     v = vietoris_space(base)
     unit = cmap(
         base, v.space, {z: v.label_of(base.up_closure([z])) for z in base.points}
     )
-    if len(base.points) > vv_cap:
-        raise CapExceeded(f"double powerset capped at base size {vv_cap}")
     vv = vietoris_space(v.space, check_topology=False)
     mult_table = {}
     for label, family in vv.members:
@@ -173,11 +166,12 @@ def vietoris_algebra_check(base: FiniteSpace) -> AlgebraCheck:
     """
     if not base.is_t0():
         raise NotT0("algebra analysis needs a T0 space")
-    # allow iterated bases (e.g. V of a capped-size space): the real guards
-    # are the output-sensitive closed-set enumeration and the triple-layer cap
-    monad = vietoris_monad(base, vv_cap=max(_VV_CAP, len(base.points)))
+    # meets first: a non-lattice fails here, before the double powerset
+    table = {
+        set_label(c, base.points): require_meets(base, c) for c in base.closed_sets()
+    }
+    monad = vietoris_monad(base)
     v, vv = monad.v, monad.vv
-    table = {label: require_meets(base, subset) for label, subset in v.members}
     structure = cmap(v.space, base, table)
     for z in base.points:
         if structure(monad.unit(z)) != z:

@@ -228,6 +228,35 @@ def test_paper_check_unknown_suite_fails():
     assert "FAIL" in out
 
 
+def test_paper_check_needs_a_positive_point_count():
+    code, out = run(["paper-check", "--max-points", "0"])
+    assert code == 2
+    assert "max_points" in out
+
+
+def test_paper_check_json_config_has_no_oracle_cap():
+    _, out = run(["paper-check", "--suites", "poset-count-calibration", "--json"])
+    assert json.loads(out)["config"] == {
+        "max_points": 4, "seed": 0, "suites": ["poset-count-calibration"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["vietoris"], {"points": [1, 2], "topology": {"kind": "order", "le": []}}),
+        (["construct", "product"], [{"space": "x"}]),
+        (["construct", "exponential"], {"a": {}, "b": {}}),
+    ],
+)
+def test_malformed_json_is_a_usage_error(tmp_path, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out = run(argv + [str(path)])
+    assert code == 2
+    assert out.startswith("error:")
+
+
 def test_paper_check_json_is_deterministic():
     argv = ["paper-check", "--suites", "finite-sober", "--max-points", "3", "--json"]
     _, first = run(argv)

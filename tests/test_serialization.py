@@ -122,6 +122,49 @@ def test_schema_errors_name_the_field():
         )
 
 
+def _order(points, le):
+    return {"points": points, "topology": {"kind": "order", "le": le}}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _order([1, 2], []),
+        _order([["a"], "b"], []),
+        _order([{"a": 1}], []),
+        _order(["a", "b"], [["a", "b", "a"]]),
+        _order(["a", "b"], ["ab"]),
+        _order(["a", "b"], [["a", 2]]),
+        {"points": ["a", "b"], "topology": {"kind": "opens", "opens": [[], "ab"]}},
+        {"points": ["a"], "topology": {"kind": "opens", "opens": [[], [1]]}},
+        {"points": ["a"], "name": ["n"], "topology": {"kind": "order", "le": []}},
+    ],
+)
+def test_space_labels_must_be_strings(data):
+    with pytest.raises(SchemaError):
+        space_from_dict(data)
+
+
+def test_map_labels_must_be_strings_and_fam_maps_total():
+    base = space_to_dict(spaces.chain(3))
+    pt = space_to_dict(spaces.point())
+    with pytest.raises(SchemaError):
+        lax_object_from_dict({"base": base, "space": pt, "alpha": {"*": ["1"]}})
+    with pytest.raises(SchemaError):
+        map_from_dict({"source": pt, "target": base, "map": {"*": 1}})
+    fam = {
+        "base": base,
+        "source": {"values": {"i": "0", "j": "1"}},
+        "target": {"values": {"k": "2"}},
+        "map": {"i": "k"},
+    }
+    with pytest.raises(SchemaError, match="not total"):
+        fam_morphism_from_dict(fam)
+    fam["source"]["values"]["j"] = {"x": "1"}
+    with pytest.raises(SchemaError):
+        fam_morphism_from_dict(fam)
+
+
 def test_parse_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ParseError):

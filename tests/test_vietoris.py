@@ -73,6 +73,21 @@ def test_algebra_fails_without_meets():
         vietoris_algebra_check(spaces.antichain(2))
 
 
+def test_algebra_check_takes_meets_before_the_double_powerset():
+    # V(antichain(5)) has 32 points and VV 7 581: the check must fail on
+    # the first meetless closed set without building either layer
+    from laxtop.order import require_meets
+
+    base = spaces.antichain(5)
+    first = base.closed_sets()[0]
+    with pytest.raises(MeetsMissing) as expected:
+        require_meets(base, first)
+    with pytest.raises(MeetsMissing) as got:
+        vietoris_algebra_check(base)
+    assert str(got.value) == str(expected.value)
+    assert got.value.family == expected.value.family
+
+
 def test_algebra_needs_t0():
     s = build_space(["a", "b"], order=[("a", "b"), ("b", "a")])
     with pytest.raises(NotT0):
