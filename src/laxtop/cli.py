@@ -189,23 +189,25 @@ def _cmd_expo(args, out):
 
 def _cmd_vietoris(args, out):
     space = space_from_dict(load_json(args.space), where=args.space)
-    v = vietoris_space(space)
-    payload = {
-        "base": space.name or args.space,
-        "space": space_to_dict(v.space),
-        "members": {label: sorted(subset) for label, subset in v.members},
-    }
     try:
         check = vietoris_algebra_check(space)
-        payload["algebra"] = {
+        v = check.v
+        algebra = {
             "ok": check.ok,
             "structure": dict(check.structure.table),
             "witness": repr(check.witness) if check.witness else None,
         }
         code = 0 if check.ok else 1
     except LaxtopError as exc:
-        payload["algebra"] = {"ok": False, "error": str(exc)}
+        v = vietoris_space(space)  # the check raised before it could return V
+        algebra = {"ok": False, "error": str(exc)}
         code = 1
+    payload = {
+        "base": space.name or args.space,
+        "space": space_to_dict(v.space),
+        "members": {label: sorted(subset) for label, subset in v.members},
+        "algebra": algebra,
+    }
     _emit(payload, args.json, out)
     return code
 

@@ -1,11 +1,13 @@
 """Exhaustive generation of finite posets, labeled and up to isomorphism.
 
-Labeled generation walks strict-down-set assignments with transitivity and
-antisymmetry pruning.  Unlabeled generation deduplicates by a canonical
-form: iterated colour refinement fixes the order between refinement
-classes, and backtracking inside classes picks the lexicographically
-smallest relation matrix.  A slow permutation-based oracle cross-checks the
-canonical form in the test suite.
+Both work on point indices and bitmask rows rather than on label pairs.
+Labeled generation gives each point a strict down-set mask, point by
+point, visiting only the masks that keep the relation antisymmetric and
+transitive.  Unlabeled generation deduplicates by a canonical form:
+iterated colour refinement fixes the order between refinement classes, and
+trying every order inside each class picks the lexicographically smallest
+relation matrix, compared as a tuple of row ints.  A slow permutation-based
+oracle cross-checks the canonical form in the test suite.
 """
 
 from __future__ import annotations
@@ -23,114 +25,120 @@ def _labels(n: int):
 def enumerate_labeled_posets(n: int, cap: int | None = None):
     """All partial orders on points p0..p{n-1}, deterministically ordered.
 
-    Each candidate down-set tried costs one unit of ``cap`` (default: the work budget).
+    Point i is given a strict down-set mask in increasing order of masks,
+    point by point.  Each level is charged the 2**(n-1) masks without bit i
+    to ``cap`` (default: the work budget), but only the submasks of what the
+    earlier points allow are visited.  The returned spaces share their
+    label-pair tuples.
     """
     pts = _labels(n)
+    pair = [[(a, b) for a in pts] for b in pts]  # pair[k][j] = (p_j, p_k)
+    full = (1 << n) - 1
     budget = Budget("labeled poset search", cap)
-    options = []  # per point, candidate strict-down-set masks
-    for i in range(n):
-        options.append([m for m in range(1 << n) if not m >> i & 1])
     out = []
 
-    def consistent(downs, i):
-        di = downs[i]
-        for j in range(i):
-            dj = downs[j]
-            if di >> j & 1:  # j < i in the order
-                if dj & ~di or dj >> i & 1:
-                    return False
-            if dj >> i & 1:  # i < j in the order
-                if di & ~dj or di >> j & 1:
-                    return False
-        return True
-
-    def rec(downs):
+    def rec(downs, le):
         i = len(downs)
         if i == n:
-            le = frozenset(
-                {(pts[k], pts[k]) for k in range(n)}
-                | {
-                    (pts[j], pts[k])
-                    for k in range(n)
-                    for j in range(n)
-                    if downs[k] >> j & 1
-                }
-            )
-            out.append(FiniteSpace(pts, le))
+            out.append(FiniteSpace(pts, frozenset(le)))
             return
-        budget.spend(len(options[i]))
-        for m in options[i]:
-            downs.append(m)
-            if consistent(downs, i):
-                rec(downs)
-            downs.pop()
+        budget.spend(1 << (n - 1))
+        # antisymmetry and transitivity towards every earlier j above i
+        bound = full & ~(1 << i)
+        for dj in downs:
+            if dj >> i & 1:
+                bound &= dj
+        m = 0
+        while True:
+            # transitivity towards every earlier j below i
+            if all(not m >> j & 1 or not downs[j] & ~m for j in range(i)):
+                rec(downs + [m], le + [pair[i][j] for j in range(n) if m >> j & 1])
+            if m == bound:
+                return
+            m = (m - bound) & bound  # the next submask of bound
 
-    rec([])
+    rec([], [pair[k][k] for k in range(n)])
     return tuple(out)
 
 
-def _refine_colors(space: FiniteSpace):
-    """Iterated colour refinement; returns an isomorphism-invariant rank per point."""
-    pts = space.points
-    colors = {
-        x: (
-            sum(1 for y in pts if space.leq(y, x) and y != x),
-            sum(1 for y in pts if space.leq(x, y) and y != x),
-        )
-        for x in pts
-    }
+def _refine_colors(n: int, strict):
+    """Iterated colour refinement; returns an isomorphism-invariant rank per point.
+
+    ``strict`` holds the index pairs (i, j) with point i strictly below
+    point j.  The initial colour (strict down count, strict up count) is
+    encoded as one order-preserving int, so the ranks are those of refining
+    the pairs.  Once every point has its own colour no round can split a
+    class, so the ranks are returned without the confirming round.
+    """
+    below = [[] for _ in range(n)]
+    above = [[] for _ in range(n)]
+    for i, j in strict:
+        above[i].append(j)
+        below[j].append(i)
+    colors = [len(below[i]) * (n + 1) + len(above[i]) for i in range(n)]
     while True:
-        keys = {
-            x: (
-                colors[x],
-                tuple(sorted(colors[y] for y in pts if space.leq(y, x) and y != x)),
-                tuple(sorted(colors[y] for y in pts if space.leq(x, y) and y != x)),
+        if len(set(colors)) == n:
+            ranking = {c: r for r, c in enumerate(sorted(colors))}
+            return [ranking[c] for c in colors]
+        get = colors.__getitem__
+        keys = [
+            (
+                colors[i],
+                tuple(sorted(map(get, below[i]))),
+                tuple(sorted(map(get, above[i]))),
             )
-            for x in pts
-        }
-        ranking = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-        new = {x: ranking[keys[x]] for x in pts}
-        if len(set(new.values())) == len(set(colors.values())):
+            for i in range(n)
+        ]
+        ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new = [ranking[k] for k in keys]
+        if len(ranking) == len(set(colors)):
             return new
         colors = new
 
 
-def _matrix_encoding(space, perm):
-    """Row-major strict-relation bits for points in the order given by perm."""
-    return tuple(
-        1 if x != y and space.leq(x, y) else 0 for x in perm for y in perm
-    )
+def _positions(perm):
+    pos = [0] * len(perm)
+    for a, x in enumerate(perm):
+        pos[x] = a
+    return pos
+
+
+def _rows(strict, perm):
+    """The strict relation with points in the order given by perm, as row ints.
+
+    Row a has bit n-1-b set iff perm[a] < perm[b]: the most significant bit
+    is the first column, so comparing row tuples compares the row-major bit
+    matrices lexicographically.
+    """
+    n = len(perm)
+    pos = _positions(perm)
+    rows = [0] * n
+    for i, j in strict:
+        rows[pos[i]] |= 1 << (n - 1 - pos[j])
+    return tuple(rows)
 
 
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
     """Relabel to p0..p{n-1} with the minimal matrix among class-respecting orders."""
     pts = space.points
-    colors = _refine_colors(space)
-    classes = {}
-    for x in pts:
-        classes.setdefault(colors[x], []).append(x)
-    blocks = [sorted(classes[c]) for c in sorted(classes)]
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(b) for b in blocks)
-    ):
-        perm = tuple(itertools.chain.from_iterable(perm_parts))
-        enc = _matrix_encoding(space, perm)
-        if best is None or enc < best[0]:
-            best = (enc, perm)
-    enc, perm = best
     n = len(pts)
-    labels = _labels(n)
-    le = frozenset(
-        {(l, l) for l in labels}
-        | {
-            (labels[i], labels[j])
-            for i in range(n)
-            for j in range(n)
-            if enc[i * n + j]
-        }
+    idx = {p: i for i, p in enumerate(pts)}
+    strict = [(idx[x], idx[y]) for (x, y) in space.le if x != y]
+    colors = _refine_colors(n, strict)
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    blocks = [sorted(classes[c], key=pts.__getitem__) for c in sorted(classes)]
+    orders = (
+        tuple(itertools.chain.from_iterable(parts))
+        for parts in itertools.product(*(itertools.permutations(b) for b in blocks))
     )
-    return FiniteSpace(labels, le)
+    perm = min(orders, key=lambda p: _rows(strict, p))
+    pos = _positions(perm)
+    labels = _labels(n)
+    le = [(l, l) for l in labels]
+    le += [(labels[pos[i]], labels[pos[j]]) for i, j in strict]
+    return FiniteSpace(labels, frozenset(le))
 
 
 def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:
@@ -149,7 +157,10 @@ def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:
 
 
 def enumerate_posets(n: int, mode: str = "unlabeled"):
-    """Stream of posets on n points; one space per isomorphism class if unlabeled."""
+    """Tuple of the posets on n points; one space per isomorphism class if unlabeled.
+
+    The classes come sorted by their canonical (points, sorted le) key.
+    """
     labeled = enumerate_labeled_posets(n)
     if mode == "labeled":
         return labeled

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice
+from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice, UnknownLabel
 from .finspace import FiniteSpace
 from .laxcomma import LaxMorphism, LaxObject
 from .order import lattice_ops, lattice_report
@@ -25,7 +25,10 @@ class FamObject:
     values: tuple  # (index element, base point) pairs, in index order
 
     def __post_init__(self):
-        assert tuple(i for (i, _) in self.values) == self.index, "values must be total"
+        if tuple(i for (i, _) in self.values) != self.index:
+            raise UnknownLabel(
+                f"family values not total: they must cover the index {self.index!r} in order"
+            )
         for (_, x) in self.values:
             if x not in self.base.points:
                 raise BaseMismatch(f"family value {x!r} is not a base point")

@@ -36,22 +36,27 @@ class FiniteSpace:
     name: str = ""
 
     def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            if p in seen:
+        # on point indices: up[i] has bit j set iff points[i] <= points[j]
+        points = self.points
+        idx = {}
+        for i, p in enumerate(points):
+            if p in idx:
                 raise DuplicatePoint(f"duplicate point label {p!r}")
-            seen.add(p)
+            idx[p] = i
+        up = [0] * len(points)
         for (x, y) in self.le:
-            if x not in seen or y not in seen:
+            i, j = idx.get(x), idx.get(y)
+            if i is None or j is None:
                 raise UnknownLabel(f"relation mentions unknown point ({x!r}, {y!r})")
-        for p in self.points:
-            if (p, p) not in self.le:
+            up[i] |= 1 << j
+        for i, p in enumerate(points):
+            if not up[i] >> i & 1:
                 raise NotATopology(f"relation not reflexive at {p!r}")
-        le = self.le
-        for (x, y) in le:
-            for z in self.points:
-                if (y, z) in le and (x, z) not in le:
-                    raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
+        for (x, y) in self.le:
+            missing = up[idx[y]] & ~up[idx[x]]  # every z with y <= z but not x <= z
+            if missing:
+                z = points[(missing & -missing).bit_length() - 1]
+                raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
 
     # -- order queries -----------------------------------------------------
 

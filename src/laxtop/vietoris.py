@@ -152,6 +152,7 @@ class AlgebraCheck:
     ok: bool
     structure: CMap  # V(base) -> base, the meet-of-members map
     witness: object
+    v: VietorisSpace  # V(base), built and hit-topology checked once
 
     def __bool__(self):
         return self.ok
@@ -175,7 +176,7 @@ def vietoris_algebra_check(base: FiniteSpace) -> AlgebraCheck:
     structure = cmap(v.space, base, table)
     for z in base.points:
         if structure(monad.unit(z)) != z:
-            return AlgebraCheck(False, structure, ("unit", z))
+            return AlgebraCheck(False, structure, ("unit", z), v)
     # V(a): a family of closed sets goes to the closure of its meets
     v_structure = cmap(
         vv.space,
@@ -189,5 +190,5 @@ def vietoris_algebra_check(base: FiniteSpace) -> AlgebraCheck:
         via_mult = structure(monad.mult(label))
         via_va = structure(v_structure(label))
         if via_mult != via_va:
-            return AlgebraCheck(False, structure, ("associativity", label))
-    return AlgebraCheck(True, structure, None)
+            return AlgebraCheck(False, structure, ("associativity", label), v)
+    return AlgebraCheck(True, structure, None, v)

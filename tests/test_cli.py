@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from laxtop import spaces
+from laxtop import cli, spaces, vietoris
 from laxtop.cli import run_command
 from laxtop.serialization import space_to_dict, to_json
 
@@ -208,6 +208,23 @@ def test_vietoris_without_meets(space_file):
     assert code == 1
     payload = json.loads(out)
     assert payload["algebra"]["ok"] is False
+
+
+def test_vietoris_builds_v_of_the_input_once(space_file, monkeypatch):
+    diamond = spaces.diamond()
+    builds = []
+    real = vietoris.vietoris_space
+
+    def counting(base, *args, **kwargs):
+        if set(base.points) == set(diamond.points):
+            builds.append(kwargs.get("check_topology", True))
+        return real(base, *args, **kwargs)
+
+    monkeypatch.setattr(vietoris, "vietoris_space", counting)
+    monkeypatch.setattr(cli, "vietoris_space", counting)
+    code, _ = run(["vietoris", space_file(diamond), "--json"])
+    assert code == 0
+    assert builds == [True]  # one build, with the hit-topology check
 
 
 def test_paper_check_single_suite_json():

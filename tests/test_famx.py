@@ -1,8 +1,9 @@
 import pytest
 
 from laxtop import spaces
-from laxtop.errors import BaseMismatch, NotALattice
+from laxtop.errors import BaseMismatch, NotALattice, UnknownLabel
 from laxtop.famx import (
+    FamObject,
     fam_descent_check,
     fam_effective_descent_check,
     fam_morphism,
@@ -23,6 +24,14 @@ def test_fam_object_validates_values():
     assert fam.value("i") == "0"
     with pytest.raises(BaseMismatch):
         fam_object(S, {"i": "2"})
+
+
+def test_fam_object_values_must_be_total():
+    # checked by a raise, not an assert, so that it holds under python -O
+    with pytest.raises(UnknownLabel):
+        FamObject(spaces.chain(2), ("i", "j"), (("i", "0"),))
+    with pytest.raises(UnknownLabel):
+        FamObject(spaces.chain(2), ("i", "j"), (("j", "0"), ("i", "1")))
 
 
 def test_fam_morphism_must_move_values_up():
