@@ -106,15 +106,12 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
 
 def _pair_lifts(f: CMap):
     """For each pair b' <= b, the lifted pairs a' <= a over it."""
-    out = {}
-    src, tgt = f.source, f.target
-    pairs = [(a1, a) for a1 in src.points for a in src.points if src.leq(a1, a)]
-    for b1 in tgt.points:
-        for b in tgt.points:
-            if tgt.leq(b1, b):
-                out[(b1, b)] = [
-                    (a1, a) for (a1, a) in pairs if f(a1) == b1 and f(a) == b
-                ]
+    src, tgt, image = f.source, f.target, f.image
+    out = {(b1, b): [] for b1 in tgt.points for b in tgt.points if tgt.leq(b1, b)}
+    for a1 in src.points:
+        for a in src.points:
+            if src.leq(a1, a):  # a monotone f sends it to a key of out
+                out[(image[a1], image[a])].append((a1, a))
     return out
 
 
@@ -132,15 +129,15 @@ def top_descent_check(f: CMap) -> DescentReport:
 def top_effective_descent_check(f: CMap) -> DescentReport:
     """Effective descent in Top: every 2-chain downstairs lifts upstairs."""
     descent = top_descent_check(f)
-    src, tgt = f.source, f.target
-    chains = [
-        (a0, a1, a2)
+    src, tgt, image = f.source, f.target, f.image
+    lifted = {
+        (image[a0], image[a1], image[a2])
         for a0 in src.points
         for a1 in src.points
         if src.leq(a0, a1)
         for a2 in src.points
         if src.leq(a1, a2)
-    ]
+    }
     for b0 in tgt.points:
         for b1 in tgt.points:
             if not tgt.leq(b0, b1):
@@ -148,10 +145,7 @@ def top_effective_descent_check(f: CMap) -> DescentReport:
             for b2 in tgt.points:
                 if not tgt.leq(b1, b2):
                     continue
-                if not any(
-                    f(a0) == b0 and f(a1) == b1 and f(a2) == b2
-                    for (a0, a1, a2) in chains
-                ):
+                if (b0, b1, b2) not in lifted:
                     return DescentReport(
                         "top",
                         descent.is_descent,

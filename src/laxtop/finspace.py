@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
+    Budget,
     DuplicatePoint,
     NotATopology,
     NotContinuous,
@@ -161,21 +162,27 @@ class CMap:
 
     ``table`` is stored as a tuple of (point, image) pairs in source point
     order, so the value is hashable and two equal maps compare equal.
+    ``image`` is the same table as a dict, built once so that a call is one
+    lookup; it takes no part in comparison, hashing or repr.
     """
 
     source: FiniteSpace
     target: FiniteSpace
     table: tuple
+    image: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "image", dict(self.table))
 
     @property
     def mapping(self) -> dict:
         return dict(self.table)
 
     def __call__(self, x):
-        for (p, v) in self.table:
-            if p == x:
-                return v
-        raise UnknownLabel(f"point {x!r} not in source of map")
+        try:
+            return self.image[x]
+        except (KeyError, TypeError):
+            raise UnknownLabel(f"point {x!r} not in source of map") from None
 
     def is_surjective(self) -> bool:
         return set(v for (_, v) in self.table) == set(self.target.points)
@@ -254,10 +261,11 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
 
     family = []
     for o in opens:
-        s = frozenset(o)
-        for x in s:
+        o = list(o)
+        for x in o:  # in input order, so the error names the first unknown label
             if x not in seen:
                 raise UnknownLabel(f"open set mentions unknown point {x!r}")
+        s = frozenset(o)
         if s not in family:
             family.append(s)
     full = frozenset(points)
@@ -471,13 +479,16 @@ def _monotone_tables(source: FiniteSpace, target: FiniteSpace):
     """All monotone point tables source -> target, lexicographically ordered.
 
     Backtracks in source point order, trying target points in their listed
-    order and pruning against already assigned comparable points.
+    order and pruning against already assigned comparable points.  Each
+    node of the search is charged to the work budget; a cache hit is free.
     """
     src = source.points
     out = []
     assign = {}
+    budget = Budget("continuous map search")
 
     def backtrack(i):
+        budget.spend()
         if i == len(src):
             out.append(tuple(assign[p] for p in src))
             return

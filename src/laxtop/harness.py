@@ -636,16 +636,32 @@ def suite_effective_implies_descent(cfg):
 
 
 def _lax_triples(base, carriers):
-    """All (f, alpha, beta) with f monotone and alpha <= beta . f."""
-    for a_sp in carriers:
-        for b_sp in carriers:
+    """All (f, alpha, beta) with f monotone and alpha <= beta . f.
+
+    The maps into the base are listed once per carrier.  A map is coded with
+    one bit per (point, value), in a block of len(base.points) bits per
+    point, so alpha <= beta . f is one test of alpha's code against the
+    down-sets of the values of beta . f.
+    """
+    width = len(base.points)
+    bit = {v: 1 << i for i, v in enumerate(base.points)}
+    down = {v: sum(bit[w] for w in base.down(v)) for v in base.points}
+    into_base = [enumerate_cmaps(sp, base) for sp in carriers]
+    codes_of = [
+        [sum(bit[v] << k * width for k, (_, v) in enumerate(m.table)) for m in maps]
+        for maps in into_base
+    ]
+    for a_sp, alphas, codes in zip(carriers, into_base, codes_of):
+        for b_sp, betas in zip(carriers, into_base):
             for f in enumerate_cmaps(a_sp, b_sp):
                 lifts = _pair_lifts(f)
-                for beta in enumerate_cmaps(b_sp, base):
-                    for alpha in enumerate_cmaps(a_sp, base):
-                        if all(
-                            base.leq(alpha(a), beta(f(a))) for a in a_sp.points
-                        ):
+                over = [f.image[a] for a in a_sp.points]
+                for beta in betas:
+                    bound = sum(
+                        down[beta.image[b]] << k * width for k, b in enumerate(over)
+                    )
+                    for alpha, code in zip(alphas, codes):
+                        if code & bound == code:
                             yield f, alpha, beta, lifts
 
 
@@ -654,31 +670,32 @@ def allw_join_coherence(base, carriers):
 
     Restricted to triples whose family image passes descent; returns
     (checked, discrepancies) where each discrepancy carries the triple.
+    The fibres and lifted pairs are read once per f, and family descent is
+    tested before any lifted value set is built.
     """
     checked = 0
     discrepancies = []
+    last_f = None
     for f, alpha, beta, lifts in _lax_triples(base, carriers):
-        value_sets = {
-            key: frozenset(alpha(a1) for (a1, _) in pairs)
-            for key, pairs in lifts.items()
-        }
-        # family descent looks only at fibres, i.e. reflexive pairs
-        fam_ok = all(
-            _all_w_ok(base, beta(b), frozenset(
-                alpha(a) for a in alpha.source.points if f(a) == b
-            ))
-            for b in beta.source.points
-        )
-        if not fam_ok:
+        if f is not last_f:
+            last_f = f
+            # family descent looks only at fibres, i.e. reflexive pairs
+            fibres = [
+                (b, [a for a in f.source.points if f.image[a] == b])
+                for b in f.target.points
+            ]
+            lifted = [(b1, [a1 for (a1, _) in pairs]) for (b1, _), pairs in lifts.items()]
+        values, bounds = alpha.image, beta.image
+        if not all(
+            _all_w_ok(base, bounds[b], frozenset([values[a] for a in fibre]))
+            for b, fibre in fibres
+        ):
             continue
-        allw = all(
-            _all_w_ok(base, beta(b1), value_sets[(b1, b)])
-            for (b1, b) in value_sets
-        )
-        join = all(
-            _join_cached(base, value_sets[(b1, b)]) == beta(b1)
-            for (b1, b) in value_sets
-        )
+        value_sets = [
+            (bounds[b1], frozenset([values[a1] for a1 in over])) for b1, over in lifted
+        ]
+        allw = all(_all_w_ok(base, bound, vs) for bound, vs in value_sets)
+        join = all(_join_cached(base, vs) == bound for bound, vs in value_sets)
         checked += 1
         if allw != join:
             discrepancies.append((f, alpha, beta, allw, join))
@@ -706,8 +723,11 @@ def sierpinski_specialization(carriers):
     base = spaces.sierpinski()
     checked = 0
     discrepancies = []
+    last_f = None
     for f, alpha, beta, lifts in _lax_triples(base, carriers):
-        chains_ok = top_effective_descent_check(f).is_effective
+        if f is not last_f:
+            last_f = f
+            chains_ok = top_effective_descent_check(f).is_effective
         join_ok = all(
             _join_cached(
                 base, frozenset(alpha(a1) for (a1, _) in pairs)

@@ -12,7 +12,7 @@ from laxtop.cli import run_command
 from laxtop.enumeration import enumerate_labeled_posets, enumerate_labeled_preorders
 from laxtop.errors import WORK_CAP, Budget, CapExceeded, SchemaError
 from laxtop.famx import fam_effective_descent_check, fam_morphism, fam_object
-from laxtop.finspace import build_space
+from laxtop.finspace import build_space, enumerate_cmaps
 from laxtop.order import distributivity_report
 from laxtop.serialization import space_to_dict, to_json
 from laxtop.vietoris import vietoris_monad, vietoris_space
@@ -64,6 +64,9 @@ def test_every_charging_search_obeys_a_small_env_cap(monkeypatch):
         "labeled poset search": lambda: enumerate_labeled_posets(2),  # 2 + 2
         "distributivity subset": lambda: distributivity_report(lattice),  # 2**3 * 3**2
         "Vietoris order": lambda: vietoris_space(spaces.chain(2)),  # 3 ** 2
+        "continuous map search": lambda: enumerate_cmaps(  # 1 + 2 + 3 nodes
+            _fresh_chain(2, "budget-maps-source"), _fresh_chain(2, "budget-maps-target")
+        ),
     }
     monkeypatch.setenv("LAXTOP_CAP", "3")
     for name, search in searches.items():

@@ -1,0 +1,195 @@
+"""The descent sweep's fast paths against the loops they replaced.
+
+The reference functions below are the implementations that the map lookup
+and the sweep rewrite replaced, kept verbatim in behaviour: lifted pairs
+bucketed by scanning every source pair for every target pair, effective
+descent tested by comparing every target 2-chain with every source 2-chain,
+every alpha listed and filtered against beta . f point by point, and the
+all-w / join comparison building every lifted value set before the fibre
+test.  Each fast path must give the same dicts, verdicts, witnesses,
+triples and cache traffic, in the same order.
+"""
+
+import pytest
+
+from laxtop import spaces
+from laxtop.descent import (
+    DescentReport,
+    _all_w_ok,
+    _join_cached,
+    _pair_lifts,
+    top_descent_check,
+    top_effective_descent_check,
+)
+from laxtop.finspace import enumerate_cmaps
+from laxtop.harness import (
+    _lax_triples,
+    allw_join_coherence,
+    frame_bases,
+    posets_up_to,
+    sierpinski_specialization,
+)
+
+
+def reference_pair_lifts(f):
+    out = {}
+    src, tgt = f.source, f.target
+    pairs = [(a1, a) for a1 in src.points for a in src.points if src.leq(a1, a)]
+    for b1 in tgt.points:
+        for b in tgt.points:
+            if tgt.leq(b1, b):
+                out[(b1, b)] = [
+                    (a1, a) for (a1, a) in pairs if f(a1) == b1 and f(a) == b
+                ]
+    return out
+
+
+def reference_top_effective_descent_check(f):
+    descent = top_descent_check(f)
+    src, tgt = f.source, f.target
+    chains = [
+        (a0, a1, a2)
+        for a0 in src.points
+        for a1 in src.points
+        if src.leq(a0, a1)
+        for a2 in src.points
+        if src.leq(a1, a2)
+    ]
+    for b0 in tgt.points:
+        for b1 in tgt.points:
+            if not tgt.leq(b0, b1):
+                continue
+            for b2 in tgt.points:
+                if not tgt.leq(b1, b2):
+                    continue
+                if not any(
+                    f(a0) == b0 and f(a1) == b1 and f(a2) == b2
+                    for (a0, a1, a2) in chains
+                ):
+                    return DescentReport(
+                        "top",
+                        descent.is_descent,
+                        False,
+                        witnesses=descent.witnesses + (("chain", (b0, b1, b2)),),
+                    )
+    return DescentReport("top", descent.is_descent, True, witnesses=descent.witnesses)
+
+
+def reference_lax_triples(base, carriers):
+    for a_sp in carriers:
+        for b_sp in carriers:
+            for f in enumerate_cmaps(a_sp, b_sp):
+                lifts = reference_pair_lifts(f)
+                for beta in enumerate_cmaps(b_sp, base):
+                    for alpha in enumerate_cmaps(a_sp, base):
+                        if all(
+                            base.leq(alpha(a), beta(f(a))) for a in a_sp.points
+                        ):
+                            yield f, alpha, beta, lifts
+
+
+def reference_allw_join_coherence(base, carriers):
+    checked = 0
+    discrepancies = []
+    for f, alpha, beta, lifts in reference_lax_triples(base, carriers):
+        value_sets = {
+            key: frozenset(alpha(a1) for (a1, _) in pairs)
+            for key, pairs in lifts.items()
+        }
+        fam_ok = all(
+            _all_w_ok(base, beta(b), frozenset(
+                alpha(a) for a in alpha.source.points if f(a) == b
+            ))
+            for b in beta.source.points
+        )
+        if not fam_ok:
+            continue
+        allw = all(
+            _all_w_ok(base, beta(b1), value_sets[(b1, b)])
+            for (b1, b) in value_sets
+        )
+        join = all(
+            _join_cached(base, value_sets[(b1, b)]) == beta(b1)
+            for (b1, b) in value_sets
+        )
+        checked += 1
+        if allw != join:
+            discrepancies.append((f, alpha, beta, allw, join))
+    return checked, discrepancies
+
+
+def _all_maps(n):
+    universe = posets_up_to(n)
+    return [f for src in universe for tgt in universe for f in enumerate_cmaps(src, tgt)]
+
+
+def test_pair_lifts_match_the_reference_on_every_map():
+    maps = _all_maps(4)
+    assert len(maps) == 19702
+    for f in maps:
+        # dict equality ignores order, so compare the items in order
+        assert list(_pair_lifts(f).items()) == list(reference_pair_lifts(f).items()), f
+
+
+def test_effective_descent_verdicts_and_witnesses_match_the_reference():
+    refuted = 0
+    for f in _all_maps(4):
+        report = top_effective_descent_check(f)
+        assert report == reference_top_effective_descent_check(f), f
+        refuted += report.is_effective is False
+    assert 0 < refuted < 19702  # both verdicts, and so chain witnesses, occur
+
+
+@pytest.mark.parametrize("base", frame_bases(4), ids=repr)
+def test_lax_triples_match_the_reference_in_order(base):
+    carriers = posets_up_to(3)
+    fast = list(_lax_triples(base, carriers))
+    slow = list(reference_lax_triples(base, carriers))
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        assert got[:3] == want[:3]
+        assert list(got[3].items()) == list(want[3].items())
+
+
+def _lookups(cached):
+    info = cached.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("base", [spaces.chain(3), spaces.diamond()], ids=repr)
+def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(base):
+    carriers = posets_up_to(3)
+    counts = []
+    results = []
+    for coherence in (allw_join_coherence, reference_allw_join_coherence):
+        before = _lookups(_all_w_ok), _lookups(_join_cached)
+        results.append(coherence(base, carriers))
+        counts.append((_lookups(_all_w_ok) - before[0], _lookups(_join_cached) - before[1]))
+    assert results[0] == results[1]
+    assert counts[0] == counts[1]
+    assert results[0][0] > 0
+
+
+def test_sierpinski_specialization_matches_the_reference():
+    base = spaces.sierpinski()
+    carriers = posets_up_to(3)
+    checked = 0
+    discrepancies = []
+    for f, alpha, beta, lifts in reference_lax_triples(base, carriers):
+        chains_ok = reference_top_effective_descent_check(f).is_effective
+        join_ok = all(
+            _join_cached(base, frozenset(alpha(a1) for (a1, _) in pairs)) == beta(b1)
+            for ((b1, _), pairs) in lifts.items()
+        )
+        a0 = [a for a in alpha.source.points if alpha(a) == "1"]
+        b0 = [b for b in beta.source.points if beta(b) == "1"]
+        closed_lift = all(
+            any(a1 in a0 and a in a0 for (a1, a) in lifts[(b1, b)])
+            for b1 in b0
+            for b in b0
+            if beta.source.leq(b1, b)
+        )
+        checked += 1
+        if (bool(chains_ok) and join_ok) != (bool(chains_ok) and closed_lift):
+            discrepancies.append((f, alpha, beta))
+    assert sierpinski_specialization(carriers) == (checked, discrepancies)

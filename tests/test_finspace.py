@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +78,26 @@ def test_build_space_rejects_duplicates_and_strays():
         build_space(["a"], order=[("a", "b")])
 
 
+def test_build_space_names_the_first_unknown_label_whatever_the_hash_seed():
+    # the label named must follow the input order, not the iteration order
+    # of a frozenset, which changes with the string hash seed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "from laxtop.errors import UnknownLabel\n"
+        "from laxtop.finspace import build_space\n"
+        "try:\n"
+        "    build_space(['x'], opens=[[], ['x'], ['a', '0', 'q']])\n"
+        "except UnknownLabel as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert run.stdout == "open set mentions unknown point 'a'\n", (seed, run.stderr)
+
+
 def test_open_set_counts():
     assert len(spaces.chain(4).open_sets()) == 5  # down-sets of a 4-chain
     assert len(spaces.antichain(3).open_sets()) == 8
@@ -129,6 +153,27 @@ def test_cmap_compose_and_identity():
     assert identity_map(s).compose(f) == f
     assert f.compose(identity_map(spaces.chain(2))) == f
     assert not f.is_surjective()
+
+
+def test_cmap_call_outside_the_source_raises_unknown_label():
+    f = cmap(spaces.chain(2), spaces.chain(3), {"0": "0", "1": "2"})
+    assert (f("0"), f("1")) == ("0", "2")
+    for stray in ("2", None, ["0"]):  # a list is not even hashable
+        with pytest.raises(UnknownLabel, match="not in source of map"):
+            f(stray)
+
+
+def test_cmap_lookup_takes_no_part_in_its_value():
+    src, tgt = spaces.chain(2), spaces.chain(3)
+    built = cmap(src, tgt, {"1": "2", "0": "1"})
+    listed = next(m for m in enumerate_cmaps(src, tgt) if m.table == built.table)
+    assert built is not listed
+    assert built == listed
+    assert hash(built) == hash(listed)
+    assert repr(built) == repr(listed) == "CMap({'0': '1', '1': '2'})"
+    assert built.table == listed.table == (("0", "1"), ("1", "2"))
+    assert built.image == listed.image == {"0": "1", "1": "2"}
+    assert len({built, listed}) == 1
 
 
 def test_product_and_sum_spaces():
