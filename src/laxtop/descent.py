@@ -19,7 +19,7 @@ from .errors import (
     NotT0,
 )
 from .finspace import CMap, FiniteSpace, cmap, product_space
-from .famx import fam_descent_check, fam_effective_descent_check, to_fam
+from .famx import fam_descent_check, fam_effective_descent_check, first_unrecovered, to_fam
 from .laxcomma import LaxMorphism
 from .order import distributivity_report, heyting_report, lattice_ops, lattice_report
 
@@ -81,8 +81,7 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
     convergence point, or project to the two smallest convergence points
     and meet those.
     """
-    report = lattice_report(base)
-    if not (report.is_meet_semilattice and report.is_complete_lattice):
+    if not lattice_report(base).is_complete_lattice:
         raise NotALattice("meet-compatibility needs a complete lattice base")
     ops = lattice_ops(base)
     prod = product_space([base, base])
@@ -177,13 +176,7 @@ def _lift_value_sets(f: LaxMorphism):
 @lru_cache(maxsize=None)
 def _all_w_ok(base: FiniteSpace, bound, values: frozenset) -> bool:
     """Is every w <= bound recovered as the join of its meets with values?"""
-    ops = lattice_ops(base)
-    for w in base.points:
-        if not base.leq(w, bound):
-            continue
-        if ops.join_of(ops.meet(w, v) for v in values) != w:
-            return False
-    return True
+    return first_unrecovered(lattice_ops(base), bound, values) is None
 
 
 def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
@@ -193,25 +186,13 @@ def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
     its meets with the source values sitting over the pair.
     """
     base = f.source.base
-    report = lattice_report(base)
-    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+    if not lattice_report(base).is_complete_lattice:
         raise NotALattice("the all-w condition needs a complete lattice base")
     ops = lattice_ops(base)
-    tgt = f.target
-    value_sets = _lift_value_sets(f)
-    for b1 in tgt.space.points:
-        for b in tgt.space.points:
-            if not tgt.space.leq(b1, b):
-                continue
-            values = value_sets[(b1, b)]
-            bound = tgt.value(b1)
-            if _all_w_ok(base, bound, values):
-                continue
-            for w in base.points:  # recover the smallest witness
-                if base.leq(w, bound) and ops.join_of(
-                    ops.meet(w, v) for v in values
-                ) != w:
-                    return ConditionVerdict(False, (b1, b, w))
+    for (b1, b), values in _lift_value_sets(f).items():
+        bound = f.target.value(b1)
+        if not _all_w_ok(base, bound, values):
+            return ConditionVerdict(False, (b1, b, first_unrecovered(ops, bound, values)))
     return ConditionVerdict(True, None)
 
 
@@ -223,15 +204,22 @@ def _join_cached(base: FiniteSpace, values: frozenset):
 def _join_condition(f: LaxMorphism) -> ConditionVerdict:
     """For each pair b' <= b, the value at b' is the join of lifted values."""
     base = f.source.base
-    tgt = f.target
-    value_sets = _lift_value_sets(f)
-    for b1 in tgt.space.points:
-        for b in tgt.space.points:
-            if not tgt.space.leq(b1, b):
-                continue
-            if _join_cached(base, value_sets[(b1, b)]) != tgt.value(b1):
-                return ConditionVerdict(False, (b1, b))
+    for (b1, b), values in _lift_value_sets(f).items():
+        if _join_cached(base, values) != f.target.value(b1):
+            return ConditionVerdict(False, (b1, b))
     return ConditionVerdict(True, None)
+
+
+def _lattice_preamble(f: LaxMorphism):
+    """The checks both lax-comma verdicts start from: the complete-lattice
+    guard, the preconditions met so far, and 2-chain lifting in Top."""
+    base = f.source.base
+    if not lattice_report(base).is_complete_lattice:
+        raise NotALattice("effective-descent analysis needs a complete lattice base")
+    pre = ["complete-lattice"]
+    if scp_meet_compat_check(base):
+        pre.append("meet-compatibility")
+    return pre, top_effective_descent_check(f.underlying)
 
 
 def frame_effective_descent_check(f: LaxMorphism) -> DescentReport:
@@ -240,15 +228,8 @@ def frame_effective_descent_check(f: LaxMorphism) -> DescentReport:
     On a non-frame base no characterization is available; the verdict
     degrades to unknown, carrying the partial all-w evidence.
     """
-    base = f.source.base
-    report = lattice_report(base)
-    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
-        raise NotALattice("effective-descent analysis needs a complete lattice base")
-    pre = ["complete-lattice"]
-    if scp_meet_compat_check(base):
-        pre.append("meet-compatibility")
-    top_eff = top_effective_descent_check(f.underlying)
-    if not heyting_report(base).is_heyting:
+    pre, top_eff = _lattice_preamble(f)
+    if not heyting_report(f.source.base).is_heyting:
         allw = convergence_descent_check(f)
         return DescentReport(
             "laxcomma",
@@ -283,16 +264,9 @@ def laxcomma_effective_descent(f: LaxMorphism) -> DescentReport:
     lifting or family descent refutes; passing the family effectiveness
     criterion makes the all-w condition decisive; anything else is unknown.
     """
-    base = f.source.base
-    if heyting_report(base).is_heyting:
+    if heyting_report(f.source.base).is_heyting:
         return frame_effective_descent_check(f)
-    report = lattice_report(base)
-    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
-        raise NotALattice("effective-descent analysis needs a complete lattice base")
-    pre = ["complete-lattice"]
-    if scp_meet_compat_check(base):
-        pre.append("meet-compatibility")
-    top_eff = top_effective_descent_check(f.underlying)
+    pre, top_eff = _lattice_preamble(f)
     if top_eff.is_effective is False:
         return DescentReport(
             "laxcomma", None, False,
@@ -339,32 +313,27 @@ def cd_filtration_descent_check(f: LaxMorphism) -> DescentReport:
     dist = distributivity_report(base)
     if not dist.is_completely_distributive:
         raise NotCompletelyDistributive("filtration criterion needs complete distributivity")
-    totally_below = dist.totally_below_table
     src, tgt = f.source, f.target
     top_eff = top_effective_descent_check(f.underlying)
-    witness = None
     if top_eff.is_effective:
         lifts = _pair_lifts(f.underlying)
-        for u in base.points:
-            below = [v for (v, uu) in totally_below if uu == u]
-            b_level = [b for b in tgt.space.points if base.leq(u, tgt.value(b))]
-            for b1 in b_level:
-                for b in b_level:
-                    if not tgt.space.leq(b1, b):
-                        continue
-                    for v in below:
-                        if not any(
-                            base.leq(v, src.value(a1)) and base.leq(v, src.value(a))
-                            for (a1, a) in lifts[(b1, b)]
-                        ):
-                            witness = (u, v, b1, b)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        below = {u: [v for (v, w) in dist.totally_below_table if w == u] for u in base.points}
+        level = {u: [b for b in tgt.space.points if base.leq(u, tgt.value(b))] for u in base.points}
+        witness = next(
+            (
+                (u, v, b1, b)
+                for u in base.points
+                for b1 in level[u]
+                for b in level[u]
+                if tgt.space.leq(b1, b)
+                for v in below[u]
+                if not any(
+                    base.leq(v, src.value(a1)) and base.leq(v, src.value(a))
+                    for (a1, a) in lifts[(b1, b)]
+                )
+            ),
+            None,
+        )
         effective = witness is None
     else:
         effective = False

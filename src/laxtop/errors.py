@@ -59,10 +59,6 @@ class NotACompleteLattice(LaxtopError):
     pass
 
 
-class NotAFrame(LaxtopError):
-    pass
-
-
 class NotCompletelyDistributive(LaxtopError):
     pass
 

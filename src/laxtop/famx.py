@@ -51,6 +51,10 @@ class FamMorphism:
     def __post_init__(self):
         if self.source.base != self.target.base:
             raise BaseMismatch("families live over different bases")
+        if tuple(i for (i, _) in self.map) != self.source.index:
+            raise UnknownLabel(
+                f"family map not total: it must cover the index {self.source.index!r} in order"
+            )
         base = self.source.base
         table = dict(self.map)
         for i in self.source.index:
@@ -67,9 +71,11 @@ class FamMorphism:
 
 
 def fam_morphism(table: dict, source: FamObject, target: FamObject) -> FamMorphism:
-    return FamMorphism(
-        tuple((i, table[i]) for i in source.index), source, target
-    )
+    """The morphism of an index dict, listed in source index order; indices
+    outside the source go last, so that FamMorphism rejects them."""
+    rank = {i: k for k, i in enumerate(source.index)}
+    pairs = sorted(table.items(), key=lambda pair: rank.get(pair[0], len(rank)))
+    return FamMorphism(tuple(pairs), source, target)
 
 
 def to_fam(arg):
@@ -120,22 +126,27 @@ class FamVerdict:
         return self.verdict is True
 
 
+def first_unrecovered(ops, bound, values):
+    """The all-w condition: the first w <= bound, in base point order, that
+    is not the join of its meets with the values; None when there is none."""
+    base = ops.space
+    for w in base.points:
+        if base.leq(w, bound) and ops.join_of(ops.meet(w, v) for v in values) != w:
+            return w
+    return None
+
+
 def fam_descent_check(f: FamMorphism) -> FamVerdict:
     """Descent: every w below a target value is recovered from fibre meets."""
     base = f.source.base
-    report = lattice_report(base)
-    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+    if not lattice_report(base).is_complete_lattice:
         raise NotALattice("descent analysis needs a complete lattice base")
     ops = lattice_ops(base)
     for j in f.target.index:
-        y = f.target.value(j)
         fibre_values = [f.source.value(i) for i in f.fibre(j)]
-        for w in base.points:
-            if not base.leq(w, y):
-                continue
-            recovered = ops.join_of(ops.meet(w, x) for x in fibre_values)
-            if recovered != w:
-                return FamVerdict(False, (j, w))
+        w = first_unrecovered(ops, f.target.value(j), fibre_values)
+        if w is not None:
+            return FamVerdict(False, (j, w))
     return FamVerdict(True, None)
 
 

@@ -198,14 +198,20 @@ class CMap:
         return f"CMap({dict(self.table)!r})"
 
 
-def cmap(source: FiniteSpace, target: FiniteSpace, table) -> CMap:
-    """Build a validated CMap from a point dict; raises if not continuous."""
+def _total_table(table, source: FiniteSpace, target: FiniteSpace) -> dict:
+    """The point table as a dict, once its labels are known and it is total."""
     table = dict(table)
     source.check_labels(table.keys())
     target.check_labels(table.values())
     if set(table) != set(source.points):
         missing = sorted(set(source.points) - set(table))
         raise UnknownLabel(f"map table not total, missing {missing}")
+    return table
+
+
+def cmap(source: FiniteSpace, target: FiniteSpace, table) -> CMap:
+    """Build a validated CMap from a point dict; raises if not continuous."""
+    table = _total_table(table, source, target)
     if not _monotone(table, source, target):
         raise NotContinuous(f"map {table} is not monotone")
     return CMap(source, target, tuple((p, table[p]) for p in source.points))
@@ -337,13 +343,7 @@ def closure_ops(space: FiniteSpace, subset) -> ClosureInfo:
 
 def is_continuous(table, source: FiniteSpace, target: FiniteSpace) -> bool:
     """True iff the total point table is monotone for the natural orders."""
-    table = dict(table)
-    source.check_labels(table.keys())
-    target.check_labels(table.values())
-    if set(table) != set(source.points):
-        missing = sorted(set(source.points) - set(table))
-        raise UnknownLabel(f"map table not total, missing {missing}")
-    return _monotone(table, source, target)
+    return _monotone(_total_table(table, source, target), source, target)
 
 
 def product_label(labels) -> str:
@@ -418,7 +418,7 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
         values = sorted(set(table.values()))
         # final topology: V open iff its preimage is open
         opens = [
-            frozenset(v) for v in _subsets(values)
+            frozenset(v) for v in subsets(values)
             if base.is_down_closed([p for p in base.points if table[p] in v])
         ]
         quot = build_space(values, opens=opens)
@@ -426,10 +426,11 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
     raise ValueError(f"unknown induced-space kind {kind!r}")
 
 
-def _subsets(items):
+def subsets(items):
+    """Every subset of the items as a tuple, by size, then in combination order."""
     items = list(items)
-    for mask in range(1 << len(items)):
-        yield [items[i] for i in range(len(items)) if mask >> i & 1]
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
 
 
 @dataclass(frozen=True)
@@ -468,7 +469,7 @@ def is_quotient_map(m: CMap) -> bool:
     table = m.mapping
     final_opens = {
         frozenset(v)
-        for v in _subsets(m.target.points)
+        for v in subsets(m.target.points)
         if m.source.is_down_closed([p for p in m.source.points if table[p] in v])
     }
     return set(m.target.open_sets()) == final_opens

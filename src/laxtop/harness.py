@@ -9,7 +9,6 @@ they never abort each other.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -72,7 +71,7 @@ from . import spaces
 @dataclass(frozen=True)
 class HarnessConfig:
     max_points: int = 4
-    seed: int = 0
+    seed: int = 0  # echoed in the report; every suite is exhaustive, so none reads it
     suites: tuple = ()  # empty: run everything
 
     def __post_init__(self):
@@ -420,14 +419,9 @@ def suite_lan_order_formula(cfg):
 
 def suite_expo_join_vs_lan(cfg):
     t = Tally("expo-join-vs-lan")
-    rng = random.Random(cfg.seed)
     carriers = posets_up_to(2)
     for base in lattice_bases(min(cfg.max_points, 4)):
-        objs = lax_objects_over(base, carriers)
-        if len(objs) > 40:
-            objs = rng.sample(objs, 40)
-            t.notes.append(f"sampled 40 objects over {base!r} (seed {cfg.seed})")
-        for obj in objs:
+        for obj in lax_objects_over(base, carriers):
             try:
                 report = exponentiability_report(obj)
                 t.check(report.mode == "definitive", obj)
@@ -713,12 +707,25 @@ def suite_allw_join_coherence(cfg):
     return t.result()
 
 
+def closed_part_lifting(alpha, beta, lifts):
+    """Over S, every pair b' <= b of beta's closed part lifts to a pair of
+    alpha's closed part, the closed part being the points with value 1."""
+    a0 = [a for a in alpha.source.points if alpha(a) == "1"]
+    b0 = [b for b in beta.source.points if beta(b) == "1"]
+    return all(
+        any(a1 in a0 and a in a0 for (a1, a) in lifts[(b1, b)])
+        for b1 in b0
+        for b in b0
+        if beta.source.leq(b1, b)
+    )
+
+
 def sierpinski_specialization(carriers):
     """Compare the frame criterion over S with the closed-part description.
 
     Returns (checked, discrepancies): the join condition plus 2-chain
     lifting must coincide with 2-chain lifting plus pair lifting between
-    the closed parts (the points with value 0).
+    the closed parts.
     """
     base = spaces.sierpinski()
     checked = 0
@@ -734,17 +741,7 @@ def sierpinski_specialization(carriers):
             ) == beta(b1)
             for ((b1, _), pairs) in lifts.items()
         )
-        a0 = [a for a in alpha.source.points if alpha(a) == "1"]
-        b0 = [b for b in beta.source.points if beta(b) == "1"]
-        closed_lift = all(
-            any(
-                a1 in a0 and a in a0
-                for (a1, a) in lifts[(b1, b)]
-            )
-            for b1 in b0
-            for b in b0
-            if beta.source.leq(b1, b)
-        )
+        closed_lift = closed_part_lifting(alpha, beta, lifts)
         checked += 1
         if (bool(chains_ok) and join_ok) != (bool(chains_ok) and closed_lift):
             discrepancies.append((f, alpha, beta))
@@ -768,14 +765,8 @@ def suite_sierpinski_effective(cfg):
                 chains_ok = bool(
                     top_effective_descent_check(m.underlying).is_effective
                 )
-                lifts = _pair_lifts(m.underlying)
-                a0 = [a for a in src.space.points if src.value(a) == "1"]
-                b0 = [b for b in tgt.space.points if tgt.value(b) == "1"]
-                closed_lift = all(
-                    any(a1 in a0 and a in a0 for (a1, a) in lifts[(b1, b)])
-                    for b1 in b0
-                    for b in b0
-                    if tgt.space.leq(b1, b)
+                closed_lift = closed_part_lifting(
+                    src.alpha, tgt.alpha, _pair_lifts(m.underlying)
                 )
                 t.check(
                     report.is_effective == (chains_ok and closed_lift), (m,)

@@ -31,6 +31,7 @@ from .finspace import (
     identity_map,
     induced_space,
     product_space,
+    subsets,
     sum_space,
 )
 from .order import (
@@ -368,19 +369,22 @@ def transpose_to_product(f: CMap, a_obj: LaxObject, expo: Exponential) -> dict:
 
 @dataclass(frozen=True)
 class ExponentiabilityReport:
-    exponentiable: object  # True / False / None (None: sufficient check failed)
+    """The exponentiability verdict of a lax object.
+
+    Over a complete lattice base the mode is "definitive" and the verdict
+    True or False.  Over a meet-semilattice that is not complete the mode is
+    "sufficient-only" and the verdict always None (unknown), with no
+    witness: such a base has no top, so the sufficient criterion, which
+    needs every implication, never applies.
+    """
+
+    exponentiable: object  # True / False / None (unknown)
     mode: str  # "definitive" | "sufficient-only"
     witness: object  # (a, family) on a definitive failure
     quotients_checked: int
 
     def __bool__(self):
         return self.exponentiable is True
-
-
-def _subsets_sorted(points):
-    for r in range(len(points) + 1):
-        for combo in itertools.combinations(points, r):
-            yield combo
 
 
 def _lan_commutation_holds(a_obj: LaxObject, gamma: CMap, q: CMap) -> bool:
@@ -450,36 +454,36 @@ def exponentiability_report(obj: LaxObject, max_quotient_points: int = 3) -> Exp
     Over a (complete, since finite) lattice base the criterion is exact; the
     verdict is cross-validated against the extension exchange law on a family
     of collapse quotients, raising InternalInconsistency on disagreement.
-    Over a meet-semilattice base only the sufficient criterion is available
-    and the verdict is labeled "sufficient-only".
+    Over a meet-semilattice base that is not complete the verdict is
+    unknown and labeled "sufficient-only".
     """
     base = obj.base
     report = lattice_report(base)
     if not report.is_meet_semilattice:
         raise NotALattice("exponentiability analysis needs at least binary meets")
-    if not (report.is_join_semilattice and report.is_complete_lattice):
-        return _sufficient_only_report(obj, report)
+    if not report.is_complete_lattice:
+        # no top (a finite meet-semilattice with one is complete), so x => x is missing
+        return ExponentiabilityReport(None, "sufficient-only", None, 0)
 
     ops = lattice_ops(base)
-    witness = None
-    for a in obj.space.points:
-        x = obj.value(a)
-        for s in _subsets_sorted(base.points):
-            joined = ops.join_of(s)
-            distributed = ops.join_of(ops.meet(x, e) for e in s)
-            if ops.meet(x, joined) != distributed:
-                witness = (a, s)
-                break
-        if witness is not None:
-            break
+    witness = next(
+        (
+            (a, s)
+            for (a, x) in obj.alpha.table
+            for s in subsets(base.points)
+            if ops.meet(x, ops.join_of(s)) != ops.join_of(ops.meet(x, e) for e in s)
+        ),
+        None,
+    )
     verdict = witness is None
 
+    point = _discrete_space(1)
     checked = 0
     if witness is not None:
         # the targeted collapse quotient must reproduce the failure
         a, s = witness
         disc = _discrete_space(len(s))
-        q = cmap(disc, _discrete_space(1), {p: "c0" for p in disc.points})
+        q = cmap(disc, point, {p: "c0" for p in disc.points})
         gamma = cmap(disc, base, dict(zip(disc.points, s)))
         checked += 1
         if _lan_commutation_holds(obj, gamma, q):
@@ -489,7 +493,7 @@ def exponentiability_report(obj: LaxObject, max_quotient_points: int = 3) -> Exp
     else:
         for n in range(0, max_quotient_points + 1):
             disc = _discrete_space(n)
-            q = cmap(disc, _one_point_space(), _collapse_table(disc))
+            q = cmap(disc, point, {p: "c0" for p in disc.points})
             for gamma_vals in itertools.combinations_with_replacement(base.points, n):
                 gamma = cmap(disc, base, dict(zip(disc.points, gamma_vals)))
                 checked += 1
@@ -498,31 +502,6 @@ def exponentiability_report(obj: LaxObject, max_quotient_points: int = 3) -> Exp
                         "exchange law fails although all joins are preserved"
                     )
     return ExponentiabilityReport(verdict, "definitive", witness, checked)
-
-
-def _one_point_space() -> FiniteSpace:
-    return FiniteSpace(("c0",), frozenset({("c0", "c0")}))
-
-
-def _collapse_table(space: FiniteSpace) -> dict:
-    return {p: "c0" for p in space.points}
-
-
-def _sufficient_only_report(obj: LaxObject, report) -> ExponentiabilityReport:
-    base = obj.base
-    meet = dict()
-    for ((x, y), z) in report.meet_table:
-        meet[(x, y)] = z
-        meet[(y, x)] = z
-    if not report.has_top:
-        return ExponentiabilityReport(None, "sufficient-only", None, 0)
-    for a in obj.space.points:
-        x = obj.value(a)
-        for y in base.points:
-            candidates = [z for z in base.points if base.leq(meet[(x, z)], y)]
-            if not any(all(base.leq(w, z) for w in candidates) for z in candidates):
-                return ExponentiabilityReport(None, "sufficient-only", (a, y), 0)
-    return ExponentiabilityReport(True, "sufficient-only", None, 0)
 
 
 # -- universal-property oracles --------------------------------------------

@@ -19,7 +19,7 @@ from .errors import (
     NotAPartialOrder,
     NotT0,
 )
-from .finspace import FiniteSpace, build_space
+from .finspace import FiniteSpace, build_space, subsets
 
 
 def _greatest(space, candidates):
@@ -130,14 +130,8 @@ class LatticeOps:
         self.space = space
         self.bottom = report.bottom
         self.top = report.top
-        self._meet = {}
-        self._join = {}
-        for ((x, y), z) in report.meet_table:
-            self._meet[(x, y)] = z
-            self._meet[(y, x)] = z
-        for ((x, y), z) in report.join_table:
-            self._join[(x, y)] = z
-            self._join[(y, x)] = z
+        self._meet = _symmetric(report.meet_table)
+        self._join = _symmetric(report.join_table)
 
     def leq(self, x, y):
         return self.space.leq(x, y)
@@ -161,6 +155,15 @@ class LatticeOps:
         return acc
 
 
+def _symmetric(table) -> dict:
+    """A binary operation table of ((x, y), z) entries as a dict on both (x, y) and (y, x)."""
+    out = {}
+    for ((x, y), z) in table:
+        out[(x, y)] = z
+        out[(y, x)] = z
+    return out
+
+
 @lru_cache(maxsize=None)
 def lattice_ops(space: FiniteSpace) -> LatticeOps:
     return LatticeOps(space)
@@ -179,14 +182,13 @@ def order_to_space(points, pairs, which: str) -> FiniteSpace:
     full = frozenset(pts)
 
     if which == "alexandroff":
-        closed = {frozenset(s) for s in _all_up_sets(probe)}
+        closed = set(probe.closed_sets())
     elif which == "scott":
         closed = set()
-        for s in _all_up_sets(probe):
-            s = frozenset(s)
+        for s in probe.closed_sets():
             if all(
                 _codirected_inf(probe, sub) in s
-                for sub in _nonempty_subsets(s)
+                for sub in subsets(s)
                 if _is_codirected(probe, sub) and _codirected_inf(probe, sub) is not None
             ):
                 closed.add(s)
@@ -212,21 +214,9 @@ def order_to_space(points, pairs, which: str) -> FiniteSpace:
     return space
 
 
-def _all_up_sets(space):
-    full = frozenset(space.points)
-    return [full - d for d in space.open_sets()]
-
-
-def _nonempty_subsets(items):
-    items = sorted(items)
-    for r in range(1, len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield combo
-
-
 def _is_codirected(space, subset) -> bool:
     """Nonempty and every two elements have a lower bound inside the subset."""
-    return all(
+    return bool(subset) and all(
         any(space.leq(z, x) and space.leq(z, y) for z in subset)
         for x in subset
         for y in subset
@@ -261,10 +251,7 @@ def heyting_report(space: FiniteSpace) -> HeytingReport:
     report = lattice_report(space)
     if not report.is_meet_semilattice:
         raise NoMeets("Heyting analysis requires binary meets")
-    meet = dict()
-    for ((x, y), z) in report.meet_table:
-        meet[(x, y)] = z
-        meet[(y, x)] = z
+    meet = _symmetric(report.meet_table)
     table = []
     witness = None
     for x in space.points:
@@ -316,9 +303,7 @@ def _way_above_pairs(space, ops):
     """x way above y: every codirected S with inf(S) <= y meets the down-set of x."""
     pts = space.points
     pairs = []
-    codirected = [
-        s for s in _nonempty_subsets(pts) if _is_codirected(space, s)
-    ]
+    codirected = [s for s in subsets(pts) if _is_codirected(space, s)]
     infs = {s: ops.meet_of(s) for s in codirected}
     for x in pts:
         for y in pts:
@@ -344,13 +329,10 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     ops = lattice_ops(space)
     witnesses = []
 
-    try:
-        hey = heyting_report(space)
-        is_frame = hey.is_heyting
-        if not is_frame:
-            witnesses.append(("implication-missing",) + hey.failure_witness)
-    except NoMeets:  # cannot happen: complete lattice has meets
-        raise
+    hey = heyting_report(space)
+    is_frame = hey.is_heyting
+    if not is_frame:
+        witnesses.append(("implication-missing",) + hey.failure_witness)
 
     way_above = _way_above_pairs(space, ops)
     op_continuous = True
@@ -372,13 +354,13 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
 
     # totally below: every S (any subset) with u <= \/S contains s >= v
     totally_below = []
-    subsets = [tuple(sorted(s)) for s in _all_subsets(pts)]
-    joins = {s: ops.join_of(s) for s in subsets}
+    all_subsets = [tuple(sorted(s)) for s in subsets(pts)]
+    joins = {s: ops.join_of(s) for s in all_subsets}
     for v in pts:
         for u in pts:
             ok = all(
                 not space.leq(u, joins[s]) or any(space.leq(v, e) for e in s)
-                for s in subsets
+                for s in all_subsets
             )
             if ok:
                 totally_below.append((v, u))
@@ -398,13 +380,6 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
         is_completely_distributive=completely,
         witnesses=tuple(witnesses),
     )
-
-
-def _all_subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield combo
 
 
 def require_meets(space: FiniteSpace, family):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from laxtop import cli, spaces, vietoris
+from laxtop.finspace import build_space
 from laxtop.cli import run_command
 from laxtop.serialization import space_to_dict, to_json
 
@@ -193,6 +194,25 @@ def test_expo_positive(tmp_path):
     code, out = run(["expo", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["exponentiable"] == "true"
+
+
+def test_expo_over_a_meet_semilattice_without_top_is_unknown(tmp_path):
+    vee = build_space(["bot", "a", "b"], order=[("bot", "a"), ("bot", "b")], name="V")
+    data = {
+        "base": space_to_dict(vee),
+        "space": space_to_dict(spaces.point()),
+        "alpha": {"*": "a"},
+    }
+    path = tmp_path / "obj.json"
+    path.write_text(to_json(data))
+    code, out = run(["expo", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "exponentiable": "unknown",
+        "mode": "sufficient-only",
+        "quotients_checked": 0,
+        "witness": None,
+    }
 
 
 def test_vietoris_on_lattice(space_file):

@@ -1,0 +1,375 @@
+"""Each lattice and descent condition against the copies it replaced.
+
+The reference functions below are the implementations that were merged
+into one, kept verbatim in behaviour: the all-w loop of family descent and
+the witness recovery of the convergence check, the two lax-comma verdicts
+with their own preambles, the filtration search with its break ladder, the
+sufficient-only exponentiability report with its implication search, and
+the four subset generators.  Each merged path must give the same verdicts
+and witnesses on an exhaustive universe.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from laxtop import spaces
+from laxtop.descent import (
+    ConditionVerdict,
+    DescentReport,
+    _all_w_ok,
+    _join_condition,
+    _lift_value_sets,
+    _pair_lifts,
+    cd_filtration_descent_check,
+    convergence_descent_check,
+    frame_effective_descent_check,
+    laxcomma_effective_descent,
+    scp_meet_compat_check,
+    top_effective_descent_check,
+)
+from laxtop.errors import (
+    InternalInconsistency,
+    LaxtopError,
+    NotALattice,
+    NotCompletelyDistributive,
+)
+from laxtop.famx import (
+    FamVerdict,
+    fam_descent_check,
+    fam_effective_descent_check,
+    to_fam,
+)
+from laxtop.finspace import subsets
+from laxtop.harness import (
+    _small_fam_morphisms,
+    lattice_bases,
+    lax_objects_over,
+    posets_up_to,
+)
+from laxtop.laxcomma import (
+    ExponentiabilityReport,
+    exponentiability_report,
+    lax_hom,
+)
+from laxtop.order import distributivity_report, heyting_report, lattice_ops, lattice_report
+
+
+def reference_fam_descent_check(f):
+    base = f.source.base
+    report = lattice_report(base)
+    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+        raise NotALattice("descent analysis needs a complete lattice base")
+    ops = lattice_ops(base)
+    for j in f.target.index:
+        y = f.target.value(j)
+        fibre_values = [f.source.value(i) for i in f.fibre(j)]
+        for w in base.points:
+            if not base.leq(w, y):
+                continue
+            recovered = ops.join_of(ops.meet(w, x) for x in fibre_values)
+            if recovered != w:
+                return FamVerdict(False, (j, w))
+    return FamVerdict(True, None)
+
+
+def reference_convergence_descent_check(f):
+    base = f.source.base
+    report = lattice_report(base)
+    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+        raise NotALattice("the all-w condition needs a complete lattice base")
+    ops = lattice_ops(base)
+    tgt = f.target
+    value_sets = _lift_value_sets(f)
+    for b1 in tgt.space.points:
+        for b in tgt.space.points:
+            if not tgt.space.leq(b1, b):
+                continue
+            values = value_sets[(b1, b)]
+            bound = tgt.value(b1)
+            if _all_w_ok(base, bound, values):
+                continue
+            for w in base.points:  # recover the smallest witness
+                if base.leq(w, bound) and ops.join_of(
+                    ops.meet(w, v) for v in values
+                ) != w:
+                    return ConditionVerdict(False, (b1, b, w))
+    return ConditionVerdict(True, None)
+
+
+def reference_frame_effective_descent_check(f):
+    base = f.source.base
+    report = lattice_report(base)
+    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+        raise NotALattice("effective-descent analysis needs a complete lattice base")
+    pre = ["complete-lattice"]
+    if scp_meet_compat_check(base):
+        pre.append("meet-compatibility")
+    top_eff = top_effective_descent_check(f.underlying)
+    if not heyting_report(base).is_heyting:
+        allw = reference_convergence_descent_check(f)
+        return DescentReport(
+            "laxcomma",
+            None,
+            None,
+            witnesses=() if allw.ok else (("all-w", allw.witness),),
+            preconditions_checked=tuple(pre),
+            notes=("base is not a frame; verdict unknown",
+                   f"all-w condition: {allw.ok}"),
+        )
+    pre.append("frame")
+    joins = _join_condition(f)
+    effective = bool(top_eff.is_effective) and joins.ok
+    witnesses = ()
+    if not top_eff.is_effective:
+        witnesses += tuple(w for w in top_eff.witnesses if w[0] == "chain")
+    if not joins.ok:
+        witnesses += (("join", joins.witness),)
+    return DescentReport(
+        "laxcomma",
+        True if effective else None,
+        effective,
+        witnesses=witnesses,
+        preconditions_checked=tuple(pre),
+    )
+
+
+def reference_laxcomma_effective_descent(f):
+    base = f.source.base
+    if heyting_report(base).is_heyting:
+        return reference_frame_effective_descent_check(f)
+    report = lattice_report(base)
+    if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
+        raise NotALattice("effective-descent analysis needs a complete lattice base")
+    pre = ["complete-lattice"]
+    if scp_meet_compat_check(base):
+        pre.append("meet-compatibility")
+    top_eff = top_effective_descent_check(f.underlying)
+    if top_eff.is_effective is False:
+        return DescentReport(
+            "laxcomma", None, False,
+            witnesses=top_eff.witnesses,
+            preconditions_checked=tuple(pre),
+            notes=("underlying map fails 2-chain lifting",),
+        )
+    fam = to_fam(f)
+    fam_desc = reference_fam_descent_check(fam)
+    if not fam_desc:
+        return DescentReport(
+            "laxcomma", None, False,
+            witnesses=(("fam-descent", fam_desc.witness),),
+            preconditions_checked=tuple(pre),
+            notes=("family image fails descent",),
+        )
+    fam_eff = fam_effective_descent_check(fam)
+    allw = reference_convergence_descent_check(f)
+    if fam_eff:
+        verdict = bool(allw)
+        return DescentReport(
+            "laxcomma",
+            True if verdict else None,
+            verdict,
+            witnesses=() if allw.ok else (("all-w", allw.witness),),
+            preconditions_checked=tuple(pre) + ("fam-effective",),
+        )
+    return DescentReport(
+        "laxcomma", True, None,
+        witnesses=() if allw.ok else (("all-w", allw.witness),),
+        preconditions_checked=tuple(pre),
+        notes=("family image not known effective; no characterization applies",
+               f"all-w condition: {allw.ok}"),
+    )
+
+
+def reference_cd_filtration_descent_check(f):
+    base = f.source.base
+    dist = distributivity_report(base)
+    if not dist.is_completely_distributive:
+        raise NotCompletelyDistributive("filtration criterion needs complete distributivity")
+    totally_below = dist.totally_below_table
+    src, tgt = f.source, f.target
+    top_eff = top_effective_descent_check(f.underlying)
+    witness = None
+    if top_eff.is_effective:
+        lifts = _pair_lifts(f.underlying)
+        for u in base.points:
+            below = [v for (v, uu) in totally_below if uu == u]
+            b_level = [b for b in tgt.space.points if base.leq(u, tgt.value(b))]
+            for b1 in b_level:
+                for b in b_level:
+                    if not tgt.space.leq(b1, b):
+                        continue
+                    for v in below:
+                        if not any(
+                            base.leq(v, src.value(a1)) and base.leq(v, src.value(a))
+                            for (a1, a) in lifts[(b1, b)]
+                        ):
+                            witness = (u, v, b1, b)
+                            break
+                    if witness:
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        effective = witness is None
+    else:
+        effective = False
+        witness = next(w[1] for w in top_eff.witnesses if w[0] == "chain")
+    report = DescentReport(
+        "laxcomma",
+        True if effective else None,
+        effective,
+        witnesses=() if witness is None else (("filtration", witness),),
+        preconditions_checked=("completely-distributive",),
+    )
+    frame = reference_frame_effective_descent_check(f)
+    if frame.is_effective is not None and frame.is_effective != effective:
+        raise InternalInconsistency(
+            "filtration criterion disagrees with the frame characterization"
+        )
+    return report
+
+
+def reference_sufficient_only_report(obj, report):
+    base = obj.base
+    meet = dict()
+    for ((x, y), z) in report.meet_table:
+        meet[(x, y)] = z
+        meet[(y, x)] = z
+    if not report.has_top:
+        return ExponentiabilityReport(None, "sufficient-only", None, 0)
+    for a in obj.space.points:
+        x = obj.value(a)
+        for y in base.points:
+            candidates = [z for z in base.points if base.leq(meet[(x, z)], y)]
+            if not any(all(base.leq(w, z) for w in candidates) for z in candidates):
+                return ExponentiabilityReport(None, "sufficient-only", (a, y), 0)
+    return ExponentiabilityReport(True, "sufficient-only", None, 0)
+
+
+def reference_subsets_sorted(points):  # laxcomma's, and order's _all_subsets
+    for r in range(len(points) + 1):
+        for combo in itertools.combinations(points, r):
+            yield combo
+
+
+def reference_nonempty_subsets(items):  # order's
+    items = sorted(items)
+    for r in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            yield combo
+
+
+def reference_mask_subsets(items):  # finspace's
+    items = list(items)
+    for mask in range(1 << len(items)):
+        yield [items[i] for i in range(len(items)) if mask >> i & 1]
+
+
+def reference_exponentiability_witness(obj):
+    """The (a, family) the join-preservation search stops at, or None."""
+    ops = lattice_ops(obj.base)
+    witness = None
+    for a in obj.space.points:
+        x = obj.value(a)
+        for s in reference_subsets_sorted(obj.base.points):
+            joined = ops.join_of(s)
+            distributed = ops.join_of(ops.meet(x, e) for e in s)
+            if ops.meet(x, joined) != distributed:
+                witness = (a, s)
+                break
+        if witness is not None:
+            break
+    return witness
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except LaxtopError as exc:
+        return type(exc), str(exc)
+
+
+def _lax_morphisms(base, carriers):
+    objs = lax_objects_over(base, carriers)
+    return [m for src in objs for tgt in objs for m in lax_hom(src, tgt)]
+
+
+# every lattice base of at most 4 points is a frame; M3 reaches the
+# non-frame branch of both lax-comma verdicts
+@pytest.mark.parametrize("base", lattice_bases(4) + (spaces.m3(),), ids=repr)
+def test_lax_comma_verdicts_match_the_reference(base):
+    pairs = [
+        (laxcomma_effective_descent, reference_laxcomma_effective_descent),
+        (frame_effective_descent_check, reference_frame_effective_descent_check),
+        (convergence_descent_check, reference_convergence_descent_check),
+    ]
+    if distributivity_report(base).is_completely_distributive:
+        pairs.append((cd_filtration_descent_check, reference_cd_filtration_descent_check))
+    refuted = dict.fromkeys([check.__name__ for check, _ in pairs], 0)
+    for m in _lax_morphisms(base, posets_up_to(2)):
+        for check, reference in pairs:
+            got = _outcome(check, m)
+            assert got == _outcome(reference, m), (check.__name__, m)
+            verdict = getattr(got, "is_effective", getattr(got, "ok", None))
+            refuted[check.__name__] += verdict is False
+    # refutations, and so their witnesses, occur wherever the base has room
+    assert refuted["laxcomma_effective_descent"] > 0
+    assert refuted["convergence_descent_check"] > 0 or len(base.points) == 1
+
+
+@pytest.mark.parametrize("base", lattice_bases(3) + (spaces.m3(),), ids=repr)
+def test_fam_descent_matches_the_reference(base):
+    refuted = 0
+    for f in _small_fam_morphisms(base, 2):
+        got = fam_descent_check(f)
+        assert got == reference_fam_descent_check(f), f
+        refuted += got.verdict is False
+    assert refuted > 0 or len(base.points) == 1
+
+
+def test_fam_descent_refuses_a_base_that_is_not_a_complete_lattice():
+    for base in posets_up_to(3):
+        if not lattice_report(base).is_complete_lattice:
+            for f in _small_fam_morphisms(base, 1):
+                got = _outcome(fam_descent_check, f)
+                assert got == _outcome(reference_fam_descent_check, f)
+                assert got[0] is NotALattice
+
+
+MEET_SEMILATTICES = tuple(
+    s for s in posets_up_to(4) if lattice_report(s).is_meet_semilattice
+)
+
+
+@pytest.mark.parametrize("base", MEET_SEMILATTICES, ids=repr)
+def test_exponentiability_matches_the_reference(base):
+    report = lattice_report(base)
+    for obj in lax_objects_over(base, posets_up_to(2)):
+        got = exponentiability_report(obj)
+        if not report.is_complete_lattice:
+            assert got == reference_sufficient_only_report(obj, report), obj
+        else:
+            assert got.mode == "definitive"
+            witness = reference_exponentiability_witness(obj)
+            checked = 1 if witness else sum(
+                math.comb(len(base.points) + n - 1, n) for n in range(4)
+            )
+            assert got == ExponentiabilityReport(
+                witness is None, "definitive", witness, checked
+            ), obj
+
+
+def test_subsets_match_every_generator_they_replace():
+    for n in range(7):
+        items = [f"x{i}" for i in reversed(range(n))]
+        got = list(subsets(items))
+        assert got == list(reference_subsets_sorted(items))
+        as_sets = {frozenset(s) for s in got}
+        assert len(as_sets) == len(got) == 2 ** n
+        assert as_sets - {frozenset()} == {
+            frozenset(s) for s in reference_nonempty_subsets(items)
+        }
+        assert as_sets == {frozenset(s) for s in reference_mask_subsets(items)}

@@ -3,6 +3,7 @@ import pytest
 from laxtop import spaces
 from laxtop.errors import BaseMismatch, NotALattice, UnknownLabel
 from laxtop.famx import (
+    FamMorphism,
     FamObject,
     fam_descent_check,
     fam_effective_descent_check,
@@ -42,6 +43,23 @@ def test_fam_morphism_must_move_values_up():
     assert f.fibre("j") == ["i"]
     with pytest.raises(BaseMismatch):
         fam_morphism({"j": "i"}, tgt, src)  # 1 is not below 0
+
+
+def test_fam_morphism_must_cover_the_source_index_in_order():
+    src = fam_object(S, {"i": "0", "k": "0"})
+    tgt = fam_object(S, {"j": "1"})
+    with pytest.raises(UnknownLabel):
+        FamMorphism((("i", "j"),), src, tgt)  # misses k
+    with pytest.raises(UnknownLabel):
+        fam_morphism({"i": "j"}, src, tgt)
+    with pytest.raises(UnknownLabel):
+        FamMorphism((("k", "j"), ("i", "j")), src, tgt)  # out of order
+    with pytest.raises(UnknownLabel):
+        FamMorphism((("i", "j"), ("k", "j"), ("z", "j")), src, tgt)
+    with pytest.raises(UnknownLabel):
+        fam_morphism({"i": "j", "k": "j", "z": "j"}, src, tgt)
+    f = fam_morphism({"k": "j", "i": "j"}, src, tgt)  # listed in index order
+    assert f.map == (("i", "j"), ("k", "j"))
 
 
 def test_to_fam_forgets_topology():

@@ -9,6 +9,7 @@ from laxtop.errors import (
     NotHeyting,
     NotParallel,
 )
+from laxtop.enumeration import enumerate_labeled_posets
 from laxtop.finspace import build_space, cmap
 from laxtop.laxcomma import (
     chain_filtration,
@@ -29,7 +30,7 @@ from laxtop.laxcomma import (
     transpose_to_product,
     verify_universal_property,
 )
-from laxtop.order import heyting_report, lattice_ops
+from laxtop.order import heyting_report, lattice_ops, lattice_report
 
 
 C3 = spaces.chain(3)
@@ -203,6 +204,28 @@ def test_exponentiability_refuted_over_m3():
     assert rep.exponentiable is False
     assert rep.mode == "definitive"
     assert rep.witness == ("*", ("b", "c"))
+
+
+def test_no_base_of_the_sufficient_only_mode_has_a_top():
+    # the mode is reached by a meet-semilattice that is not a complete
+    # lattice; a finite one with a top would be complete
+    reached = 0
+    for n in range(6):
+        for base in enumerate_labeled_posets(n):
+            report = lattice_report(base)
+            if report.is_meet_semilattice and not report.is_complete_lattice:
+                reached += 1
+                assert not report.has_top, base.le
+    assert reached == 729
+
+
+def test_exponentiability_over_a_meet_semilattice_is_unknown():
+    vee = build_space(["bot", "a", "b"], order=[("bot", "a"), ("bot", "b")])
+    for value in vee.points:
+        report = exponentiability_report(obj(PT, vee, {"*": value}))
+        assert (report.exponentiable, report.mode, report.witness) == (
+            None, "sufficient-only", None
+        )
 
 
 def test_chain_filtration_roundtrip():
