@@ -79,10 +79,16 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
     Both routes around the square are evaluated on every principal
     ultrafilter of the product: meet first then take the smallest
     convergence point, or project to the two smallest convergence points
-    and meet those.
+    and meet those.  The verdict depends only on the base and is kept for
+    the most recent bases; the lattice guard runs on every call.
     """
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("meet-compatibility needs a complete lattice base")
+    return _scp_meet_compat(base)
+
+
+@lru_cache(maxsize=64)
+def _scp_meet_compat(base: FiniteSpace) -> bool:
     ops = lattice_ops(base)
     prod = product_space([base, base])
     meet_map = cmap(
@@ -106,11 +112,10 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
 def _pair_lifts(f: CMap):
     """For each pair b' <= b, the lifted pairs a' <= a over it."""
     src, tgt, image = f.source, f.target, f.image
-    out = {(b1, b): [] for b1 in tgt.points for b in tgt.points if tgt.leq(b1, b)}
-    for a1 in src.points:
-        for a in src.points:
-            if src.leq(a1, a):  # a monotone f sends it to a key of out
-                out[(image[a1], image[a])].append((a1, a))
+    out = {(b1, b): [] for b1, up in tgt.above.items() for b in up}
+    for a1, up in src.above.items():
+        for a in up:  # a monotone f sends (a1, a) to a key of out
+            out[(image[a1], image[a])].append((a1, a))
     return out
 
 
@@ -128,22 +133,16 @@ def top_descent_check(f: CMap) -> DescentReport:
 def top_effective_descent_check(f: CMap) -> DescentReport:
     """Effective descent in Top: every 2-chain downstairs lifts upstairs."""
     descent = top_descent_check(f)
-    src, tgt, image = f.source, f.target, f.image
+    image, src_up, tgt_up = f.image, f.source.above, f.target.above
     lifted = {
         (image[a0], image[a1], image[a2])
-        for a0 in src.points
-        for a1 in src.points
-        if src.leq(a0, a1)
-        for a2 in src.points
-        if src.leq(a1, a2)
+        for a0, over in src_up.items()
+        for a1 in over
+        for a2 in src_up[a1]
     }
-    for b0 in tgt.points:
-        for b1 in tgt.points:
-            if not tgt.leq(b0, b1):
-                continue
-            for b2 in tgt.points:
-                if not tgt.leq(b1, b2):
-                    continue
+    for b0, over in tgt_up.items():
+        for b1 in over:
+            for b2 in tgt_up[b1]:
                 if (b0, b1, b2) not in lifted:
                     return DescentReport(
                         "top",
@@ -199,6 +198,27 @@ def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
 @lru_cache(maxsize=None)
 def _join_cached(base: FiniteSpace, values: frozenset):
     return lattice_ops(base).join_of(values)
+
+
+def condition_tables(base: FiniteSpace):
+    """The all-w and join conditions of a lattice base, read by value mask.
+
+    Bit i of a mask stands for ``base.points[i]``.  Returns ``(allw, join)``:
+    ``allw[i][mask]`` is the all-w condition at the bound ``base.points[i]``
+    over the values in mask, and ``join[mask]`` is their join.  Every cell
+    is filled once through ``_all_w_ok`` and ``_join_cached``.
+    """
+    points = base.points
+    value_sets = [
+        frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+        for mask in range(1 << len(points))
+    ]
+    allw = tuple(
+        tuple(_all_w_ok(base, bound, values) for values in value_sets)
+        for bound in points
+    )
+    join = tuple(_join_cached(base, values) for values in value_sets)
+    return allw, join
 
 
 def _join_condition(f: LaxMorphism) -> ConditionVerdict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     Budget,
@@ -63,6 +63,16 @@ class FiniteSpace:
 
     def leq(self, x, y) -> bool:
         return (x, y) in self.le
+
+    @cached_property
+    def above(self) -> dict:
+        """Each point's up-set as a tuple in point order, built on first use.
+
+        Not a field: equality, hashing, repr and serialization ignore it.
+        """
+        return {
+            x: tuple(y for y in self.points if (x, y) in self.le) for x in self.points
+        }
 
     def down(self, x) -> frozenset:
         """Down-set of a point; this is also its minimal open neighbourhood."""

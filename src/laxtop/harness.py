@@ -51,9 +51,8 @@ from .famx import (
 )
 from .vietoris import vietoris_algebra_check, vietoris_space
 from .descent import (
-    _all_w_ok,
-    _join_cached,
     _pair_lifts,
+    condition_tables,
     frame_effective_descent_check,
     scp_meet_compat_check,
     top_descent_check,
@@ -659,40 +658,84 @@ def _lax_triples(base, carriers):
                             yield f, alpha, beta, lifts
 
 
+class _ValueMasks(dict):
+    """Map tables into a base to their value masks, coding each table once.
+
+    The value mask of a set of source positions is the OR of the base point
+    bits of the values at those positions; a table's entry lists them all,
+    indexed by the positions' mask.
+    """
+
+    def __init__(self, base):
+        super().__init__()
+        self.bit = {v: 1 << i for i, v in enumerate(base.points)}
+
+    def __missing__(self, table):
+        out = [0]
+        for (_, v) in table:
+            bit = self.bit[v]
+            out += [m | bit for m in out]
+        self[table] = out
+        return out
+
+
+def _lifted_positions(f, lifts):
+    """The fibres and lifted pairs of f as masks of source positions.
+
+    Returns (fibres, lifted): fibres[j] holds the positions over the j-th
+    target point, and lifted lists, for each pair b' <= b in the order of
+    lifts, the position of b' with the lower ends of the pairs over it.
+    """
+    position = {a: 1 << k for k, a in enumerate(f.source.points)}
+    target = {b: j for j, b in enumerate(f.target.points)}
+    fibres = [0] * len(target)
+    for a, b in f.table:
+        fibres[target[b]] |= position[a]
+    lifted = []
+    for (b1, _), pairs in lifts.items():
+        over = 0
+        for (a1, _) in pairs:
+            over |= position[a1]
+        lifted.append((target[b1], over))
+    return fibres, lifted
+
+
 def allw_join_coherence(base, carriers):
     """Count agreements of the all-w condition with the join condition.
 
     Restricted to triples whose family image passes descent; returns
     (checked, discrepancies) where each discrepancy carries the triple.
-    The fibres and lifted pairs are read once per f, and family descent is
-    tested before any lifted value set is built.
+    The conditions are read from the base's condition tables: each alpha
+    is coded once as the value mask of every set of its points, so family
+    descent, all-w and join are one table read per fibre or lifted pair.
+    Family descent is tested before any lifted pair is read.
     """
+    allw, join = condition_tables(base)
+    index = {v: i for i, v in enumerate(base.points)}
+    join = [index[v] for v in join]
+    codes = _ValueMasks(base)
     checked = 0
     discrepancies = []
-    last_f = None
+    last_f = last_beta = None
     for f, alpha, beta, lifts in _lax_triples(base, carriers):
-        if f is not last_f:
-            last_f = f
-            # family descent looks only at fibres, i.e. reflexive pairs
-            fibres = [
-                (b, [a for a in f.source.points if f.image[a] == b])
-                for b in f.target.points
-            ]
-            lifted = [(b1, [a1 for (a1, _) in pairs]) for (b1, _), pairs in lifts.items()]
-        values, bounds = alpha.image, beta.image
-        if not all(
-            _all_w_ok(base, bounds[b], frozenset([values[a] for a in fibre]))
-            for b, fibre in fibres
-        ):
-            continue
-        value_sets = [
-            (bounds[b1], frozenset([values[a1] for a1 in over])) for b1, over in lifted
-        ]
-        allw = all(_all_w_ok(base, bound, vs) for bound, vs in value_sets)
-        join = all(_join_cached(base, vs) == bound for bound, vs in value_sets)
-        checked += 1
-        if allw != join:
-            discrepancies.append((f, alpha, beta, allw, join))
+        if f is not last_f or beta is not last_beta:
+            if f is not last_f:
+                last_f = f
+                fibres, lifted = _lifted_positions(f, lifts)
+            last_beta = beta
+            bounds = [index[v] for (_, v) in beta.table]
+            rows = [allw[i] for i in bounds]  # the all-w row of each bound
+            fibre_rows = list(zip(rows, fibres))
+        values = codes[alpha.table]
+        for row, fibre in fibre_rows:
+            if not row[values[fibre]]:
+                break
+        else:
+            allw_ok = all(rows[j][values[over]] for j, over in lifted)
+            join_ok = all(join[values[over]] == bounds[j] for j, over in lifted)
+            checked += 1
+            if allw_ok != join_ok:
+                discrepancies.append((f, alpha, beta, allw_ok, join_ok))
     return checked, discrepancies
 
 
@@ -728,6 +771,8 @@ def sierpinski_specialization(carriers):
     the closed parts.
     """
     base = spaces.sierpinski()
+    _, join = condition_tables(base)
+    codes = _ValueMasks(base)
     checked = 0
     discrepancies = []
     last_f = None
@@ -735,12 +780,9 @@ def sierpinski_specialization(carriers):
         if f is not last_f:
             last_f = f
             chains_ok = top_effective_descent_check(f).is_effective
-        join_ok = all(
-            _join_cached(
-                base, frozenset(alpha(a1) for (a1, _) in pairs)
-            ) == beta(b1)
-            for ((b1, _), pairs) in lifts.items()
-        )
+            _, lifted = _lifted_positions(f, lifts)
+        values = codes[alpha.table]
+        join_ok = all(join[values[over]] == beta.table[j][1] for j, over in lifted)
         closed_lift = closed_part_lifting(alpha, beta, lifts)
         checked += 1
         if (bool(chains_ok) and join_ok) != (bool(chains_ok) and closed_lift):

@@ -28,7 +28,6 @@ from .finspace import (
     FiniteSpace,
     cmap,
     enumerate_cmaps,
-    identity_map,
     induced_space,
     product_space,
     subsets,
@@ -86,10 +85,6 @@ def lax_morphism(f: CMap, src: LaxObject, tgt: LaxObject) -> LaxMorphism:
     if not ok:
         raise BaseMismatch(f"lax triangle fails at point {witness!r}")
     return LaxMorphism(f, src, tgt)
-
-
-def lax_identity(obj: LaxObject) -> LaxMorphism:
-    return LaxMorphism(identity_map(obj.space), obj, obj)
 
 
 def lax_hom(src: LaxObject, tgt: LaxObject):

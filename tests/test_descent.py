@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
-from laxtop import spaces
+from laxtop import descent, spaces
 from laxtop.descent import (
     cd_filtration_descent_check,
+    condition_tables,
     convergence_descent_check,
     forgetful_preservation_check,
     frame_effective_descent_check,
@@ -13,8 +16,11 @@ from laxtop.descent import (
     top_effective_descent_check,
 )
 from laxtop.errors import NotALattice, NotCompletelyDistributive
+from laxtop.famx import first_unrecovered
 from laxtop.finspace import build_space, cmap, identity_map
+from laxtop.harness import lattice_bases
 from laxtop.laxcomma import lax_morphism, lax_object
+from laxtop.order import lattice_ops
 
 
 C3 = spaces.chain(3)
@@ -44,6 +50,53 @@ def test_scp_meet_compatibility():
     assert scp_meet_compat_check(spaces.m3())
     with pytest.raises(NotALattice):
         scp_meet_compat_check(spaces.antichain(2))
+
+
+def test_meet_compatibility_is_decided_once_per_base(monkeypatch):
+    built = []
+    product_space = descent.product_space
+
+    def counted(factors):
+        built.append(factors)
+        return product_space(factors)
+
+    monkeypatch.setattr(descent, "product_space", counted)
+    # labels no other test uses, so that no earlier verdict is kept for it
+    base = build_space(["lo", "mid", "hi"], order=[("lo", "mid"), ("mid", "hi")])
+    m = lax_morphism(
+        cmap(PT, PT, {"*": "*"}),
+        lax_object(PT, base, {"*": "mid"}),
+        lax_object(PT, base, {"*": "hi"}),
+    )
+    assert scp_meet_compat_check(base)
+    assert len(built) == 1
+    assert scp_meet_compat_check(base)
+    report = laxcomma_effective_descent(m)
+    assert "meet-compatibility" in report.preconditions_checked
+    assert len(built) == 1  # the second check and the descent verdict built none
+    for _ in range(2):  # the lattice guard still runs on every call
+        with pytest.raises(NotALattice):
+            scp_meet_compat_check(spaces.antichain(2))
+
+
+def test_condition_tables_equal_the_conditions_on_every_mask():
+    bases = lattice_bases(5) + (spaces.sierpinski(),)
+    start = time.process_time()
+    cells = set()
+    for base in bases:
+        ops = lattice_ops(base)
+        allw, join = condition_tables(base)
+        n = len(base.points)
+        assert len(allw) == n and len(join) == 2**n
+        for mask in range(2**n):
+            values = [p for i, p in enumerate(base.points) if mask >> i & 1]
+            assert join[mask] == ops.join_of(values), (base, values)
+            for i, bound in enumerate(base.points):
+                ok = first_unrecovered(ops, bound, values) is None
+                assert allw[i][mask] == ok, (base, bound, values)
+                cells.add(ok)
+    assert cells == {True, False}
+    assert time.process_time() - start < 1.0
 
 
 def test_top_descent_is_pair_lifting():

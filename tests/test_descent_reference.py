@@ -6,8 +6,9 @@ bucketed by scanning every source pair for every target pair, effective
 descent tested by comparing every target 2-chain with every source 2-chain,
 every alpha listed and filtered against beta . f point by point, and the
 all-w / join comparison building every lifted value set before the fibre
-test.  Each fast path must give the same dicts, verdicts, witnesses,
-triples and cache traffic, in the same order.
+test.  Each fast path must give the same dicts, verdicts, witnesses and
+triples, in the same order; the sweep reads the all-w and join conditions
+from per-base tables, so its cache traffic is one lookup per table cell.
 """
 
 import pytest
@@ -21,14 +22,17 @@ from laxtop.descent import (
     top_descent_check,
     top_effective_descent_check,
 )
-from laxtop.finspace import enumerate_cmaps
+from laxtop.enumeration import canonical_form
+from laxtop.finspace import build_space, enumerate_cmaps
 from laxtop.harness import (
     _lax_triples,
     allw_join_coherence,
     frame_bases,
+    lattice_bases,
     posets_up_to,
     sierpinski_specialization,
 )
+from laxtop.order import heyting_report
 
 
 def reference_pair_lifts(f):
@@ -156,9 +160,23 @@ def _lookups(cached):
     return info.hits + info.misses
 
 
-@pytest.mark.parametrize("base", [spaces.chain(3), spaces.diamond()], ids=repr)
-def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(base):
-    carriers = posets_up_to(3)
+# the two lattices on 5 points that are not frames, N5 and M3, in that order
+NON_FRAMES = tuple(b for b in lattice_bases(5) if not heyting_report(b).is_heyting)
+
+
+@pytest.mark.parametrize(
+    "base, carrier_points",
+    [
+        pytest.param(spaces.chain(3), 3, id=repr(spaces.chain(3))),
+        pytest.param(spaces.diamond(), 3, id=repr(spaces.diamond())),
+        pytest.param(NON_FRAMES[0], 2, id="N5"),
+        pytest.param(NON_FRAMES[1], 2, id="M3"),
+    ],
+)
+def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(
+    base, carrier_points
+):
+    carriers = posets_up_to(carrier_points)
     counts = []
     results = []
     for coherence in (allw_join_coherence, reference_allw_join_coherence):
@@ -166,8 +184,21 @@ def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(base):
         results.append(coherence(base, carriers))
         counts.append((_lookups(_all_w_ok) - before[0], _lookups(_join_cached) - before[1]))
     assert results[0] == results[1]
-    assert counts[0] == counts[1]
+    # the fast path looks each condition up once per table cell it fills
+    n = len(base.points)
+    assert counts[0] == (n * 2**n, 2**n)
     assert results[0][0] > 0
+
+
+def test_the_non_frames_are_n5_and_m3():
+    n5 = build_space(
+        ["0", "a", "b", "c", "1"],
+        order=[("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+    )
+    assert [canonical_form(b) for b in NON_FRAMES] == [
+        canonical_form(n5),
+        canonical_form(spaces.m3()),
+    ]
 
 
 def test_sierpinski_specialization_matches_the_reference():

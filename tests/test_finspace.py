@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pathlib
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxtop import spaces
+from laxtop.enumeration import enumerate_labeled_posets, enumerate_labeled_preorders
 from laxtop.errors import (
     DuplicatePoint,
     NotATopology,
@@ -16,6 +18,7 @@ from laxtop.errors import (
     UnknownLabel,
 )
 from laxtop.finspace import (
+    FiniteSpace,
     build_space,
     closure_ops,
     cmap,
@@ -174,6 +177,23 @@ def test_cmap_lookup_takes_no_part_in_its_value():
     assert built.table == listed.table == (("0", "1"), ("1", "2"))
     assert built.image == listed.image == {"0": "1", "1": "2"}
     assert len({built, listed}) == 1
+
+
+def test_above_lists_each_up_set_in_point_order_and_leaves_the_value_alone():
+    universe = [s for n in range(4) for s in enumerate_labeled_preorders(n)]
+    universe += [s for n in range(5) for s in enumerate_labeled_posets(n)]
+    assert any(not s.is_t0() for s in universe)
+    for space in universe:
+        twin = FiniteSpace(space.points, space.le, space.provenance, space.name)
+        before = hash(space), repr(space)
+        above = space.above
+        assert list(above) == list(space.points)
+        for x in space.points:
+            assert list(above[x]) == [y for y in space.points if space.leq(x, y)]
+        assert space.above is above  # built once
+        assert (hash(space), repr(space)) == before
+        assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+    assert "above" not in {f.name for f in dataclasses.fields(FiniteSpace)}
 
 
 def test_product_and_sum_spaces():
