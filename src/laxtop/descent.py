@@ -18,7 +18,7 @@ from .errors import (
     NotCompletelyDistributive,
     NotT0,
 )
-from .finspace import CMap, FiniteSpace, cmap, product_space
+from .finspace import CMap, FiniteSpace, cmap, product_label, product_space
 from .famx import fam_descent_check, fam_effective_descent_check, first_unrecovered, to_fam
 from .laxcomma import LaxMorphism
 from .order import distributivity_report, heyting_report, lattice_ops, lattice_report
@@ -94,11 +94,7 @@ def _scp_meet_compat(base: FiniteSpace) -> bool:
     meet_map = cmap(
         prod.space,
         base,
-        {
-            f"({x},{y})": ops.meet(x, y)
-            for x in base.points
-            for y in base.points
-        },
+        {product_label((x, y)): ops.meet(x, y) for x in base.points for y in base.points},
     )
     pi1, pi2 = prod.maps
     for p in prod.space.points:
@@ -208,14 +204,12 @@ def condition_tables(base: FiniteSpace):
     over the values in mask, and ``join[mask]`` is their join.  Every cell
     is filled once through ``_all_w_ok`` and ``_join_cached``.
     """
-    points = base.points
     value_sets = [
-        frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-        for mask in range(1 << len(points))
+        frozenset(base.points_at(mask)) for mask in range(1 << len(base.points))
     ]
     allw = tuple(
         tuple(_all_w_ok(base, bound, values) for values in value_sets)
-        for bound in points
+        for bound in base.points
     )
     join = tuple(_join_cached(base, values) for values in value_sets)
     return allw, join

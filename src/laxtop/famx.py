@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice, UnknownLabel
-from .finspace import FiniteSpace
+from .finspace import FiniteSpace, product_label
 from .laxcomma import LaxMorphism, LaxObject
 from .order import lattice_ops, lattice_report
 
@@ -104,7 +104,7 @@ def fam_pullback(f: FamMorphism, g: FamMorphism):
     for i in f.source.index:
         for j in g.source.index:
             if f(i) == g(j):
-                k = f"({i},{j})"
+                k = product_label((i, j))
                 values[k] = ops.meet(f.source.value(i), g.source.value(j))
                 left[k] = i
                 right[k] = j

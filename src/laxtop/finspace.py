@@ -9,6 +9,8 @@ exactly the monotone ones, which keeps all operations combinatorial.
 from __future__ import annotations
 
 import itertools
+import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -18,6 +20,7 @@ from .errors import (
     NotATopology,
     NotContinuous,
     NotSurjective,
+    NotT0,
     UnknownLabel,
 )
 
@@ -29,6 +32,12 @@ class FiniteSpace:
     ``le`` contains the pair (x, y) exactly when x <= y.  The relation is
     validated to be reflexive and transitive; antisymmetry is *not* required
     (non-T0 spaces are legal).
+
+    The order index is built on first use and is not a field: equality,
+    hashing, repr and serialization ignore it, and a space that is never
+    queried stores none of it.  ``index`` maps each point to its position;
+    bit j of ``up_masks[i]`` is set iff points[i] <= points[j], and of
+    ``down_masks[i]`` iff points[j] <= points[i].
     """
 
     points: tuple
@@ -37,71 +46,61 @@ class FiniteSpace:
     name: str = ""
 
     def __post_init__(self):
-        # on point indices: up[i] has bit j set iff points[i] <= points[j]
-        points = self.points
-        idx = {}
-        for i, p in enumerate(points):
-            if p in idx:
-                raise DuplicatePoint(f"duplicate point label {p!r}")
-            idx[p] = i
-        up = [0] * len(points)
-        for (x, y) in self.le:
-            i, j = idx.get(x), idx.get(y)
-            if i is None or j is None:
-                raise UnknownLabel(f"relation mentions unknown point ({x!r}, {y!r})")
-            up[i] |= 1 << j
-        for i, p in enumerate(points):
-            if not up[i] >> i & 1:
-                raise NotATopology(f"relation not reflexive at {p!r}")
-        for (x, y) in self.le:
-            missing = up[idx[y]] & ~up[idx[x]]  # every z with y <= z but not x <= z
-            if missing:
-                z = points[(missing & -missing).bit_length() - 1]
-                raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
+        _order_index(self.points, self.le)  # validates; the index is rebuilt on use
 
     # -- order queries -----------------------------------------------------
 
     def leq(self, x, y) -> bool:
         return (x, y) in self.le
 
+    _order = cached_property(lambda self: _order_index(self.points, self.le))
+    index = cached_property(lambda self: self._order[0])
+    up_masks = cached_property(lambda self: tuple(self._order[1]))
+    down_masks = cached_property(lambda self: tuple(  # the columns of up_masks
+        sum(1 << i for i, row in enumerate(self.up_masks) if row >> j & 1)
+        for j in range(len(self.points))
+    ))
+
+    def points_at(self, mask: int) -> tuple:
+        """The points whose bits are set in mask, in point order."""
+        return tuple(p for j, p in enumerate(self.points) if mask >> j & 1)
+
+    def _mask(self, subset) -> int:
+        """The bits of the labels in subset; labels outside the space are ignored."""
+        index = self.index
+        return sum({1 << index[x] for x in subset if x in index})  # distinct bits
+
     @cached_property
     def above(self) -> dict:
-        """Each point's up-set as a tuple in point order, built on first use.
-
-        Not a field: equality, hashing, repr and serialization ignore it.
-        """
-        return {
-            x: tuple(y for y in self.points if (x, y) in self.le) for x in self.points
-        }
+        """Each point's up-set as a tuple in point order."""
+        return {x: self.points_at(up) for x, up in zip(self.points, self.up_masks)}
 
     def down(self, x) -> frozenset:
         """Down-set of a point; this is also its minimal open neighbourhood."""
-        return frozenset(y for y in self.points if (y, x) in self.le)
+        return self.down_closure((x,))
 
     def up(self, x) -> frozenset:
         """Up-set of a point; this is also the closure of {x}."""
-        return frozenset(y for y in self.points if (x, y) in self.le)
+        return self.up_closure((x,))
 
     def down_closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        return frozenset(y for y in self.points if any((y, x) in self.le for x in s))
+        return frozenset(self.points_at(_union(self.down_masks, self._mask(subset))))
 
     def up_closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        return frozenset(y for y in self.points if any((x, y) in self.le for x in s))
+        return frozenset(self.points_at(_union(self.up_masks, self._mask(subset))))
 
     def is_down_closed(self, subset) -> bool:
-        s = frozenset(subset)
-        return all((y, x) not in self.le or y in s for x in s for y in self.points)
+        mask = self._mask(subset)
+        return _union(self.down_masks, mask) == mask
 
     def is_up_closed(self, subset) -> bool:
-        s = frozenset(subset)
-        return all((x, y) not in self.le or y in s for x in s for y in self.points)
+        mask = self._mask(subset)
+        return _union(self.up_masks, mask) == mask
 
     def is_t0(self) -> bool:
         return all(
-            not ((x, y) in self.le and (y, x) in self.le)
-            for x, y in itertools.combinations(self.points, 2)
+            up & down == 1 << i
+            for i, (up, down) in enumerate(zip(self.up_masks, self.down_masks))
         )
 
     def open_sets(self):
@@ -124,6 +123,46 @@ class FiniteSpace:
         return f"FiniteSpace({tag})"
 
 
+def _relation_rows(points, pairs):
+    """Each label's position, and a list of the up masks of any relation."""
+    index = {}
+    for i, p in enumerate(points):
+        if p in index:
+            raise DuplicatePoint(f"duplicate point label {p!r}")
+        index[p] = i
+    up = [0] * len(points)
+    for (x, y) in pairs:
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            raise UnknownLabel(f"relation mentions unknown point ({x!r}, {y!r})")
+        up[i] |= 1 << j
+    return index, up
+
+
+def _order_index(points, le):
+    """(index, up masks) of a preorder, raising unless le is one on the points."""
+    index, up = _relation_rows(points, le)
+    for i, p in enumerate(points):
+        if not up[i] >> i & 1:
+            raise NotATopology(f"relation not reflexive at {p!r}")
+    for (x, y) in le:
+        missing = up[index[y]] & ~up[index[x]]  # every z with y <= z but not x <= z
+        if missing:
+            z = points[(missing & -missing).bit_length() - 1]
+            raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
+    return index, up
+
+
+def _union(rows, mask: int) -> int:
+    """The OR of rows[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @lru_cache(maxsize=None)
 def _down_sets(space: FiniteSpace):
     """Every down-closed subset of the space, sorted by (size, membership).
@@ -132,36 +171,19 @@ def _down_sets(space: FiniteSpace):
     existing down-set is extended by the new point exactly when its strict
     down-set is already present.
     """
-    pts = space.points
-    idx = {p: i for i, p in enumerate(pts)}
     # equivalent points (non-T0) must enter a down-set together: work with
-    # equivalence classes, whose induced order is a genuine poset
-    rep = {}
-    for p in pts:
-        cls = [q for q in pts if space.leq(p, q) and space.leq(q, p)]
-        rep[p] = min(cls, key=idx.get)
-    reps = [p for p in pts if rep[p] == p]
-    class_bit = {
-        r: sum(1 << idx[p] for p in pts if rep[p] == r) for r in reps
-    }
-    downs = {
-        r: sum(
-            class_bit[s]
-            for s in reps
-            if s != r and space.leq(s, r)
-        )
-        for r in reps
-    }
-    order = sorted(reps, key=lambda r: downs[r].bit_count())
+    # equivalence classes, whose induced order is a genuine poset; a class
+    # is a mask, represented by its first point
+    down = space.down_masks
+    classes = [u & d for u, d in zip(space.up_masks, down)]
+    reps = [i for i, cls in enumerate(classes) if cls & -cls == 1 << i]
+    below = {r: down[r] & ~classes[r] for r in reps}  # the classes strictly below
     masks = [0]
-    for r in order:
-        need = downs[r]
-        bit = class_bit[r]
+    for r in sorted(reps, key=lambda r: below[r].bit_count()):
+        need = below[r]
+        bit = classes[r]
         masks.extend([m | bit for m in masks if m & need == need])
-    result = [
-        frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
-        for mask in masks
-    ]
+    result = [frozenset(space.points_at(mask)) for mask in masks]
     result.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(result)
 
@@ -238,17 +260,18 @@ def _monotone(table, source, target) -> bool:
 
 
 def _transitive_reflexive_closure(points, pairs):
-    rel = {(p, p) for p in points}
-    rel.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(rel):
-            for z in points:
-                if (y, z) in rel and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
-    return frozenset(rel)
+    """The least preorder on the points that contains the pairs."""
+    _, up = _relation_rows(points, pairs)
+    for i in range(len(up)):
+        up[i] |= 1 << i
+    for k in range(len(up)):  # Warshall: paths may now pass through points[k]
+        through = up[k]
+        for i, row in enumerate(up):
+            if row >> k & 1:
+                up[i] = row | through
+    return frozenset(
+        (x, y) for x, row in zip(points, up) for j, y in enumerate(points) if row >> j & 1
+    )
 
 
 def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
@@ -260,11 +283,7 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
     relation is accepted and its reflexive-transitive closure is taken.
     """
     points = tuple(points)
-    seen = set()
-    for p in points:
-        if p in seen:
-            raise DuplicatePoint(f"duplicate point label {p!r}")
-        seen.add(p)
+    seen = _relation_rows(points, ())[0]  # raises on a duplicate label
     if (opens is None) == (order is None):
         raise NotATopology("exactly one of opens/order must be given")
 
@@ -296,12 +315,10 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
         if a & b not in fam:
             raise NotATopology("family not closed under intersection", offending=(a, b))
 
-    le = set()
-    for x in points:
-        for y in points:
-            if all(x in o for o in family if y in o):
-                le.add((x, y))
-    space = FiniteSpace(points, frozenset(le), provenance="opens", name=name)
+    le = frozenset(
+        (x, y) for x in points for y in points if all(x in o for o in family if y in o)
+    )
+    space = FiniteSpace(points, le, provenance="opens", name=name)
     if set(space.open_sets()) != fam:
         # cannot happen for a genuine finite topology; guards invalid input
         raise NotATopology("open family does not match its own natural order")
@@ -322,10 +339,10 @@ class T0Report:
 
 def t0_report(space: FiniteSpace) -> T0Report:
     """Quotient by x<=y<=x; class representatives are lexicographic minima."""
-    rep = {}
-    for x in space.points:
-        cls = [y for y in space.points if space.leq(x, y) and space.leq(y, x)]
-        rep[x] = min(cls)
+    rep = {
+        x: min(space.points_at(u & d))
+        for x, u, d in zip(space.points, space.up_masks, space.down_masks)
+    }
     classes = sorted(set(rep.values()))
     le = frozenset(
         (a, b) for a in classes for b in classes if space.leq(a, b)
@@ -356,8 +373,28 @@ def is_continuous(table, source: FiniteSpace, target: FiniteSpace) -> bool:
     return _monotone(_total_table(table, source, target), source, target)
 
 
+_SPECIAL = re.compile(r'[][(){}",;:]')
+
+
+def label_part(part: str, separators: str = ",") -> str:
+    """One part of a generated label, written so that the parts read back.
+
+    A part goes in unchanged when it is not empty, has no '"', its brackets
+    balance and no separator stands outside them; otherwise it goes in as a
+    JSON string.  So nested labels keep their bytes and labels never collide.
+    """
+    if part and not _SPECIAL.search(part):
+        return part
+    depth = 0
+    for ch in part:
+        depth += (ch in "([{") - (ch in ")]}")
+        if depth < 0 or ch == '"' or (depth == 0 and ch in separators):
+            return json.dumps(part, ensure_ascii=False)
+    return part if part and depth == 0 else json.dumps(part, ensure_ascii=False)
+
+
 def product_label(labels) -> str:
-    return "(" + ",".join(labels) + ")"
+    return "(" + ",".join([label_part(x) for x in labels]) + ")"
 
 
 @dataclass(frozen=True)
@@ -367,22 +404,23 @@ class SpaceWithMaps:
 
 
 def product_space(spaces) -> SpaceWithMaps:
-    """Product with componentwise order; points get labels "(a,b,...)"."""
+    """Product with componentwise order; points get labels "(a,b,...)".
+
+    The points come in the order of their coordinates; the points above
+    one are the products of the up-sets of its coordinates.
+    """
     spaces = list(spaces)
     combos = list(itertools.product(*(s.points for s in spaces)))
     labels = tuple(product_label(c) for c in combos)
-    by_label = dict(zip(labels, combos))
+    label_of = dict(zip(combos, labels))
     le = frozenset(
-        (a, b)
-        for a in labels
-        for b in labels
-        if all(
-            s.leq(x, y) for s, x, y in zip(spaces, by_label[a], by_label[b])
-        )
+        (label_of[c], label_of[d])
+        for c in combos
+        for d in itertools.product(*(s.above[x] for s, x in zip(spaces, c)))
     )
     prod = FiniteSpace(labels, le, provenance="order")
     projections = tuple(
-        cmap(prod, s, {lab: by_label[lab][i] for lab in labels})
+        cmap(prod, s, {lab: c[i] for lab, c in zip(labels, combos)})
         for i, s in enumerate(spaces)
     )
     return SpaceWithMaps(prod, projections)
@@ -426,14 +464,17 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
         if set(table) != set(base.points):
             raise NotSurjective("quotient table must be total over the base points")
         values = sorted(set(table.values()))
-        # final topology: V open iff its preimage is open
-        opens = [
-            frozenset(v) for v in subsets(values)
-            if base.is_down_closed([p for p in base.points if table[p] in v])
-        ]
-        quot = build_space(values, opens=opens)
+        quot = build_space(values, opens=_final_opens(base, table, values))
         return InducedSpace(quot, cmap(base, quot, table))
     raise ValueError(f"unknown induced-space kind {kind!r}")
+
+
+def _final_opens(source, table, values):
+    """The final topology: every set of values whose preimage is open."""
+    return [
+        frozenset(v) for v in subsets(values)
+        if source.is_down_closed([p for p in source.points if table[p] in v])
+    ]
 
 
 def subsets(items):
@@ -451,8 +492,6 @@ class SoberReport:
 
 def sober_report(space: FiniteSpace) -> SoberReport:
     """List irreducible closed sets with generic points, by enumeration."""
-    from .errors import NotT0
-
     if not space.is_t0():
         raise NotT0("sober_report requires a T0 space")
     closeds = [c for c in space.closed_sets() if c]
@@ -462,12 +501,7 @@ def sober_report(space: FiniteSpace) -> SoberReport:
         reducible = any(d1 | d2 == c for d1 in proper for d2 in proper)
         if reducible:
             continue
-        generic = None
-        for x in sorted(c):
-            if space.up(x) == c:
-                generic = x
-                break
-        out.append((c, generic))
+        out.append((c, next((x for x in sorted(c) if space.up(x) == c), None)))
     out.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
     return SoberReport(all(g is not None for (_, g) in out), tuple(out))
 
@@ -476,13 +510,8 @@ def is_quotient_map(m: CMap) -> bool:
     """True iff surjective and the target carries the final topology."""
     if not m.is_surjective():
         return False
-    table = m.mapping
-    final_opens = {
-        frozenset(v)
-        for v in subsets(m.target.points)
-        if m.source.is_down_closed([p for p in m.source.points if table[p] in v])
-    }
-    return set(m.target.open_sets()) == final_opens
+    final = _final_opens(m.source, m.image, m.target.points)
+    return set(m.target.open_sets()) == set(final)
 
 
 @lru_cache(maxsize=None)
@@ -490,33 +519,38 @@ def _monotone_tables(source: FiniteSpace, target: FiniteSpace):
     """All monotone point tables source -> target, lexicographically ordered.
 
     Backtracks in source point order, trying target points in their listed
-    order and pruning against already assigned comparable points.  Each
-    node of the search is charged to the work budget; a cache hit is free.
+    order; a node allows, as one mask, the values above the images of the
+    earlier points below it and below those of the earlier points above it.
+    Each node of the search is charged to the work budget; a cache hit is free.
     """
-    src = source.points
+    n = len(source.points)
+    values = target.points
+    up, down = target.up_masks, target.down_masks
+    earlier_below = [
+        [q for q in range(i) if row >> q & 1] for i, row in enumerate(source.down_masks)
+    ]
+    earlier_above = [
+        [q for q in range(i) if row >> q & 1] for i, row in enumerate(source.up_masks)
+    ]
+    everything = (1 << len(values)) - 1
     out = []
-    assign = {}
+    assign = [0] * n
     budget = Budget("continuous map search")
 
     def backtrack(i):
         budget.spend()
-        if i == len(src):
-            out.append(tuple(assign[p] for p in src))
+        if i == n:
+            out.append(tuple(values[j] for j in assign))
             return
-        p = src[i]
-        for v in target.points:
-            ok = True
-            for q in src[:i]:
-                if source.leq(q, p) and not target.leq(assign[q], v):
-                    ok = False
-                    break
-                if source.leq(p, q) and not target.leq(v, assign[q]):
-                    ok = False
-                    break
-            if ok:
-                assign[p] = v
+        allowed = everything
+        for q in earlier_below[i]:
+            allowed &= up[assign[q]]
+        for q in earlier_above[i]:
+            allowed &= down[assign[q]]
+        for j in range(len(values)):
+            if allowed >> j & 1:
+                assign[i] = j
                 backtrack(i + 1)
-                del assign[p]
 
     backtrack(0)
     return tuple(out)

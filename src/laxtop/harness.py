@@ -34,6 +34,7 @@ from .laxcomma import (
     LaxObject,
     exponential_object,
     exponentiability_report,
+    function_label,
     lan_extension,
     lax_hom,
     lax_object,
@@ -358,17 +359,10 @@ def suite_exponential_underlying(cfg):
                     for (x, y) in a_obj.space.le
                 )
             ]
-            labels = set()
-            for tab in tables:
-                labels.add(
-                    "{" + ";".join(f"{p}:{tab[p]}" for p in a_obj.space.points) + "}"
-                )
+            by_label = {function_label(tab.items()): tab for tab in tables}
+            labels = set(by_label)
             ok = labels == set(expo.obj.space.points)
             if ok:
-                by_label = {
-                    "{" + ";".join(f"{p}:{tab[p]}" for p in a_obj.space.points) + "}": tab
-                    for tab in tables
-                }
                 for la, lb in itertools.product(labels, repeat=2):
                     expected = all(
                         b_obj.space.leq(by_label[la][p], by_label[lb][p])
@@ -637,11 +631,10 @@ def _lax_triples(base, carriers):
     down-sets of the values of beta . f.
     """
     width = len(base.points)
-    bit = {v: 1 << i for i, v in enumerate(base.points)}
-    down = {v: sum(bit[w] for w in base.down(v)) for v in base.points}
+    index, down = base.index, base.down_masks
     into_base = [enumerate_cmaps(sp, base) for sp in carriers]
     codes_of = [
-        [sum(bit[v] << k * width for k, (_, v) in enumerate(m.table)) for m in maps]
+        [sum(1 << index[v] << k * width for k, (_, v) in enumerate(m.table)) for m in maps]
         for maps in into_base
     ]
     for a_sp, alphas, codes in zip(carriers, into_base, codes_of):
@@ -651,7 +644,7 @@ def _lax_triples(base, carriers):
                 over = [f.image[a] for a in a_sp.points]
                 for beta in betas:
                     bound = sum(
-                        down[beta.image[b]] << k * width for k, b in enumerate(over)
+                        down[index[beta.image[b]]] << k * width for k, b in enumerate(over)
                     )
                     for alpha, code in zip(alphas, codes):
                         if code & bound == code:
@@ -668,12 +661,12 @@ class _ValueMasks(dict):
 
     def __init__(self, base):
         super().__init__()
-        self.bit = {v: 1 << i for i, v in enumerate(base.points)}
+        self.index = base.index
 
     def __missing__(self, table):
         out = [0]
         for (_, v) in table:
-            bit = self.bit[v]
+            bit = 1 << self.index[v]
             out += [m | bit for m in out]
         self[table] = out
         return out
@@ -686,16 +679,15 @@ def _lifted_positions(f, lifts):
     target point, and lifted lists, for each pair b' <= b in the order of
     lifts, the position of b' with the lower ends of the pairs over it.
     """
-    position = {a: 1 << k for k, a in enumerate(f.source.points)}
-    target = {b: j for j, b in enumerate(f.target.points)}
+    position, target = f.source.index, f.target.index
     fibres = [0] * len(target)
-    for a, b in f.table:
-        fibres[target[b]] |= position[a]
+    for k, (_, b) in enumerate(f.table):
+        fibres[target[b]] |= 1 << k
     lifted = []
     for (b1, _), pairs in lifts.items():
         over = 0
         for (a1, _) in pairs:
-            over |= position[a1]
+            over |= 1 << position[a1]
         lifted.append((target[b1], over))
     return fibres, lifted
 
@@ -711,7 +703,7 @@ def allw_join_coherence(base, carriers):
     Family descent is tested before any lifted pair is read.
     """
     allw, join = condition_tables(base)
-    index = {v: i for i, v in enumerate(base.points)}
+    index = base.index
     join = [index[v] for v in join]
     codes = _ValueMasks(base)
     checked = 0

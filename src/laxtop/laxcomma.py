@@ -29,6 +29,8 @@ from .finspace import (
     cmap,
     enumerate_cmaps,
     induced_space,
+    label_part,
+    product_label,
     product_space,
     subsets,
     sum_space,
@@ -295,8 +297,11 @@ def initial_lift_over(space: FiniteSpace, cone, base: FiniteSpace) -> LaxObject:
 # -- exponentials ----------------------------------------------------------
 
 
-def function_label(f: CMap) -> str:
-    return "{" + ";".join(f"{p}:{v}" for (p, v) in f.table) + "}"
+def function_label(table) -> str:
+    """A point table, as (point, value) pairs, written as in "{a:x;b:y}"."""
+    return "{" + ";".join(
+        f"{label_part(p, ';:')}:{label_part(v, ';:')}" for (p, v) in table
+    ) + "}"
 
 
 @dataclass(frozen=True)
@@ -315,7 +320,7 @@ def exponential_object(a_obj: LaxObject, b_obj: LaxObject) -> Exponential:
     hey = heyting_report(base)  # raises NoMeets when binary meets are absent
     imp = dict(hey.implication_table)
     maps = enumerate_cmaps(a_obj.space, b_obj.space)
-    labels = tuple(function_label(h) for h in maps)
+    labels = tuple(function_label(h.table) for h in maps)
     by_label = dict(zip(labels, maps))
     le = frozenset(
         (la, lb)
@@ -339,10 +344,9 @@ def exponential_object(a_obj: LaxObject, b_obj: LaxObject) -> Exponential:
     exp_obj = lax_object(exp_space, base, delta)
 
     product = lax_product([a_obj, exp_obj])
-    ev_table = {}
-    for a in a_obj.space.points:
-        for lab in labels:
-            ev_table[f"({a},{lab})"] = by_label[lab](a)
+    ev_table = {
+        product_label((a, lab)): by_label[lab](a) for a in a_obj.space.points for lab in labels
+    }
     evaluation = lax_morphism(
         cmap(product.obj.space, b_obj.space, ev_table), product.obj, b_obj
     )
@@ -352,11 +356,9 @@ def exponential_object(a_obj: LaxObject, b_obj: LaxObject) -> Exponential:
 def transpose_to_product(f: CMap, a_obj: LaxObject, expo: Exponential) -> dict:
     """The mate of f: C -> B^A as a point table on the product A x C."""
     funcs = dict(expo.functions)
-    table = {}
-    for a in a_obj.space.points:
-        for c in f.source.points:
-            table[f"({a},{c})"] = funcs[f(c)](a)
-    return table
+    return {
+        product_label((a, c)): funcs[f(c)](a) for a in a_obj.space.points for c in f.source.points
+    }
 
 
 # -- exponentiability ------------------------------------------------------
@@ -390,29 +392,19 @@ def _lan_commutation_holds(a_obj: LaxObject, gamma: CMap, q: CMap) -> bool:
     left_factor = lan_extension(gamma, q, verify=False)
     prod_c = product_space([a_space, gamma.source])
     prod_q = product_space([a_space, q.target])
+    pairs_c = [(lab, tuple(m(lab) for m in prod_c.maps)) for lab in prod_c.space.points]
+    label_q = {tuple(m(lab) for m in prod_q.maps): lab for lab in prod_q.space.points}
     meet_c = cmap(
-        prod_c.space,
-        base,
-        {
-            f"({a},{c})": ops.meet(a_obj.value(a), gamma(c))
-            for a in a_space.points
-            for c in gamma.source.points
-        },
+        prod_c.space, base, {lab: ops.meet(a_obj.value(a), gamma(c)) for lab, (a, c) in pairs_c}
     )
     one_times_q = cmap(
-        prod_c.space,
-        prod_q.space,
-        {
-            f"({a},{c})": f"({a},{q(c)})"
-            for a in a_space.points
-            for c in gamma.source.points
-        },
+        prod_c.space, prod_q.space, {lab: label_q[a, q(c)] for lab, (a, c) in pairs_c}
     )
     rhs = lan_extension(meet_c, one_times_q, verify=False)
     for a in a_space.points:
         for y in q.target.points:
             lhs_val = ops.meet(a_obj.value(a), left_factor(y))
-            if lhs_val != rhs(f"({a},{y})"):
+            if lhs_val != rhs(label_q[a, y]):
                 return False
             # pointwise identity: meeting before or after the inner join agrees
             opens_at_y = [v for v in q.target.open_sets() if y in v]
@@ -431,7 +423,7 @@ def _lan_commutation_holds(a_obj: LaxObject, gamma: CMap, q: CMap) -> bool:
                 )
                 for v in opens_at_y
             )
-            if (outer1 == outer2) != (lhs_val == rhs(f"({a},{y})")):
+            if (outer1 == outer2) != (lhs_val == rhs(label_q[a, y])):
                 raise InternalInconsistency(
                     "pointwise exchange identity disagrees with the extension route"
                 )
@@ -443,7 +435,10 @@ def _discrete_space(n: int) -> FiniteSpace:
     return FiniteSpace(pts, frozenset((p, p) for p in pts))
 
 
-def exponentiability_report(obj: LaxObject, max_quotient_points: int = 3) -> ExponentiabilityReport:
+_MAX_QUOTIENT_POINTS = 3  # the collapse quotients cross-checked have at most this many points
+
+
+def exponentiability_report(obj: LaxObject) -> ExponentiabilityReport:
     """Decide exponentiability by join preservation of meeting with each value.
 
     Over a (complete, since finite) lattice base the criterion is exact; the
@@ -486,7 +481,7 @@ def exponentiability_report(obj: LaxObject, max_quotient_points: int = 3) -> Exp
                 "join-preservation failure not visible to the exchange law"
             )
     else:
-        for n in range(0, max_quotient_points + 1):
+        for n in range(0, _MAX_QUOTIENT_POINTS + 1):
             disc = _discrete_space(n)
             q = cmap(disc, point, {p: "c0" for p in disc.points})
             for gamma_vals in itertools.combinations_with_replacement(base.points, n):
@@ -531,14 +526,13 @@ def default_test_objects(base: FiniteSpace):
     return out
 
 
-def verify_product(objects, product: LaxProduct, test_objects=None) -> OracleResult:
+def verify_product(objects, product: LaxProduct) -> OracleResult:
     """Every lax cone factors through the product by exactly one lax morphism."""
     objects = list(objects)
     base = product.obj.base
-    tests = default_test_objects(base) if test_objects is None else test_objects
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in tests:
+    for cand in default_test_objects(base):
         legs = [lax_hom(cand, o) for o in objects]
         for cone in itertools.product(*legs):
             checked += 1
@@ -558,15 +552,13 @@ def verify_product(objects, product: LaxProduct, test_objects=None) -> OracleRes
     return OracleResult(True, None, checked)
 
 
-def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer,
-                       test_objects=None) -> OracleResult:
+def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer) -> OracleResult:
     """Every coequalizing lax cocone factors uniquely through the quotient."""
     base = coeq.obj.base
-    tests = default_test_objects(base) if test_objects is None else test_objects
     budget = Budget("oracle candidate")
     checked = 0
     q = coeq.quotient.underlying
-    for cand in tests:
+    for cand in default_test_objects(base):
         for h in lax_hom(f.target, cand):
             hu = h.underlying
             if any(
@@ -588,14 +580,12 @@ def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer,
     return OracleResult(True, None, checked)
 
 
-def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential,
-                       test_objects=None) -> OracleResult:
+def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential) -> OracleResult:
     """The mate correspondence is a bijection of hom-sets, both directions."""
     base = a_obj.base
-    tests = default_test_objects(base) if test_objects is None else test_objects
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in tests:
+    for cand in default_test_objects(base):
         prod = lax_product([a_obj, cand])
         direct = {m.underlying.table for m in lax_hom(prod.obj, b_obj)}
         budget.spend(len(direct))
@@ -612,14 +602,12 @@ def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential,
     return OracleResult(True, None, checked)
 
 
-def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject,
-                        test_objects=None) -> OracleResult:
+def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject) -> OracleResult:
     """h into the lift is lax exactly when all its cone composites are lax."""
     base = lift.base
-    tests = default_test_objects(base) if test_objects is None else test_objects
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in tests:
+    for cand in default_test_objects(base):
         for h in enumerate_cmaps(cand.space, space):
             budget.spend()
             checked += 1
@@ -632,24 +620,16 @@ def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject,
     return OracleResult(True, None, checked)
 
 
-def verify_universal_property(kind: str, instance: dict, test_objects=None) -> OracleResult:
+def verify_universal_property(kind: str, instance: dict) -> OracleResult:
     """Dispatch to the brute-force oracle for one construction kind."""
     if kind == "product":
-        return verify_product(
-            instance["objects"], instance["product"], test_objects
-        )
+        return verify_product(instance["objects"], instance["product"])
     if kind == "coequalizer":
-        return verify_coequalizer(
-            instance["f"], instance["g"], instance["coequalizer"], test_objects
-        )
+        return verify_coequalizer(instance["f"], instance["g"], instance["coequalizer"])
     if kind == "exponential":
-        return verify_exponential(
-            instance["a"], instance["b"], instance["exponential"], test_objects
-        )
+        return verify_exponential(instance["a"], instance["b"], instance["exponential"])
     if kind == "initial_lift":
-        return verify_initial_lift(
-            instance["space"], instance["cone"], instance["lift"], test_objects
-        )
+        return verify_initial_lift(instance["space"], instance["cone"], instance["lift"])
     raise ValueError(f"unknown universal property kind {kind!r}")
 
 

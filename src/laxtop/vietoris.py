@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Budget, InternalInconsistency, NotT0
-from .finspace import CMap, FiniteSpace, cmap
+from .finspace import CMap, FiniteSpace, cmap, label_part
 from .order import require_meets
 
 
 def set_label(members, point_order) -> str:
-    pos = {p: i for i, p in enumerate(point_order)}
-    return "{" + ",".join(sorted(members, key=pos.__getitem__)) + "}"
+    """The members in point order, as in "{a,b}"; see ``label_part``."""
+    return "{" + ",".join(label_part(p) for p in point_order if p in members) + "}"
 
 
 @dataclass(frozen=True)

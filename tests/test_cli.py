@@ -82,6 +82,30 @@ def test_construct_product_with_verify(tmp_path):
     assert payload["result"]["alpha"] == {"(*,*)": "1"}
 
 
+def test_construct_product_of_labels_with_commas(tmp_path):
+    sierpinski = space_to_dict(spaces.sierpinski())
+    data = {
+        "base": sierpinski,
+        "objects": [
+            {
+                "space": space_to_dict(build_space(["a", "a,b"], order=[])),
+                "alpha": {"a": "0", "a,b": "1"},
+            },
+            {
+                "space": space_to_dict(build_space(["b,c", "c"], order=[])),
+                "alpha": {"b,c": "1", "c": "0"},
+            },
+        ],
+    }
+    path = tmp_path / "prod.json"
+    path.write_text(to_json(data))
+    code, out = run(["construct", "product", str(path), "--verify", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert len(payload["result"]["space"]["points"]) == 4
+
+
 def test_construct_respects_cap_env(tmp_path, monkeypatch):
     data = {
         "base": space_to_dict(spaces.chain(3)),

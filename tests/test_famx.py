@@ -81,6 +81,16 @@ def test_fam_pullback_takes_meets():
     assert pf("(a,b)") == "a" and pg("(a,b)") == "b"
 
 
+def test_fam_pullback_keeps_pairs_of_indices_with_commas_apart():
+    tgt = fam_object(S, {"j": "1"})
+    f = fam_morphism({"a": "j", "a,b": "j"}, fam_object(S, {"a": "0", "a,b": "1"}), tgt)
+    g = fam_morphism({"b,c": "j", "c": "j"}, fam_object(S, {"b,c": "1", "c": "1"}), tgt)
+    apex, pf, pg = fam_pullback(f, g)
+    assert len(apex.index) == 4
+    assert apex.value('("a,b",c)') == "1" and apex.value('(a,"b,c")') == "0"
+    assert pf('("a,b",c)') == "a,b" and pg('(a,"b,c")') == "b,c"
+
+
 def test_fam_descent_check():
     tgt = fam_object(S, {"j": "1"})
     covering = fam_morphism(

@@ -27,7 +27,9 @@ from laxtop.finspace import (
     induced_space,
     is_continuous,
     is_quotient_map,
+    label_part,
     natural_order,
+    product_label,
     product_space,
     sober_report,
     sum_space,
@@ -194,6 +196,22 @@ def test_above_lists_each_up_set_in_point_order_and_leaves_the_value_alone():
         assert (hash(space), repr(space)) == before
         assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
     assert "above" not in {f.name for f in dataclasses.fields(FiniteSpace)}
+
+
+def test_label_parts_keep_their_bytes_unless_they_would_not_read_back():
+    assert product_label(["a", "(b,c)", "{x:y;z:w}"]) == "(a,(b,c),{x:y;z:w})"
+    assert product_label(["a,b", "c"]) == '("a,b",c)'
+    assert [label_part(x) for x in ["", ")(", "(a", 'a"b', "a;b"]] == [
+        '""', '")("', '"(a"', '"a\\"b"', "a;b"
+    ]
+    assert label_part("a;b", ";:") == '"a;b"' and label_part("é,") == '"é,"'
+
+
+def test_product_labels_never_collide():
+    alphabet = ["", "a", ",", "(", ")", "{", "}", '"', ";", ":"]
+    parts = sorted({x + y for x in alphabet for y in alphabet})
+    lists = [(x,) for x in parts] + list(itertools.product(parts, repeat=2))
+    assert len({product_label(c) for c in lists}) == len(lists)
 
 
 def test_product_and_sum_spaces():

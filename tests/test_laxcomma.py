@@ -255,3 +255,19 @@ def test_is_chain():
     assert is_chain(C3)
     assert not is_chain(spaces.antichain(2))
     assert not is_chain(spaces.diamond())
+
+
+def test_generated_labels_of_labels_with_separators_stay_apart():
+    s = spaces.sierpinski()
+    left = lax_object(build_space(["a", "a,b"], order=[]), s, {"a": "0", "a,b": "1"})
+    right = lax_object(build_space(["b,c", "c"], order=[]), s, {"b,c": "1", "c": "0"})
+    assert lax_product([left, right]).obj.space.points == (
+        '(a,"b,c")', "(a,c)", '("a,b","b,c")', '("a,b",c)'
+    )
+    two = lax_object(build_space(["a", "b"], order=[]), s, {"a": "1", "b": "1"})
+    four = build_space(["c;b:d", "c", "d;b:W", "W"], order=[])
+    expo = exponential_object(two, lax_object(four, s, {p: "1" for p in four.points}))
+    labels = expo.obj.space.points
+    assert len(set(labels)) == len(labels) == 16
+    assert '{a:"c;b:d";b:W}' in labels and '{a:c;b:"d;b:W"}' in labels
+    assert "{a:c;b:W}" in labels

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from laxtop import spaces
@@ -16,6 +18,17 @@ def test_set_label_follows_point_order():
     s = spaces.chain(3)
     assert set_label({"2", "0"}, s.points) == "{0,2}"
     assert set_label(set(), s.points) == "{}"
+
+
+def test_set_labels_of_labels_with_commas_stay_apart():
+    base = build_space(["a", "b", "a,b"], order=[])
+    labels = vietoris_space(base).space.points
+    assert len(set(labels)) == len(labels) == 8
+    assert "{a,b}" in labels and '{"a,b"}' in labels
+    points = ("", "a", "a,b", "{b}")  # the empty label and a nested one too
+    subsets = [frozenset(c) for r in range(5) for c in itertools.combinations(points, r)]
+    assert len({set_label(c, points) for c in subsets}) == 16
+    assert set_label({"", "{b}"}, points) == '{"",{b}}'
 
 
 def test_vietoris_of_sierpinski_is_three_chain():
