@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -284,9 +285,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_command(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

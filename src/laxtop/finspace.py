@@ -113,9 +113,9 @@ class FiniteSpace:
         return tuple(full - o for o in _down_sets(self))
 
     def check_labels(self, subset):
-        known = set(self.points)
+        index = self.index
         for x in subset:
-            if x not in known:
+            if x not in index:
                 raise UnknownLabel(f"unknown point label {x!r}")
 
     def __repr__(self):
@@ -254,9 +254,18 @@ def identity_map(space: FiniteSpace) -> CMap:
 
 
 def _monotone(table, source, target) -> bool:
-    return all(
-        (table[x], table[y]) in target.le for (x, y) in source.le
-    )
+    image = [target.index[table[p]] for p in source.points]
+    return is_monotone(image, source.up_masks, target.up_masks)
+
+
+def is_monotone(image, rows, target_rows) -> bool:
+    """Whether a map, given as target positions in source point order, is monotone.
+
+    rows and target_rows are the up masks (or both the down masks) of the
+    source and the target: each point's row must map into its image's row.
+    """
+    bits = [1 << j for j in image]
+    return all(not _union(bits, row) & ~target_rows[j] for row, j in zip(rows, image))
 
 
 def _transitive_reflexive_closure(points, pairs):

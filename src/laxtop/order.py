@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     Budget,
@@ -119,6 +119,8 @@ class LatticeOps:
 
     Finite meets/joins of arbitrary families are folded from the binary
     tables; the empty meet is the top and the empty join is the bottom.
+    The same tables over point positions are built on first use:
+    ``meet_index[i][j]`` is the position of the meet of points i and j.
     """
 
     def __init__(self, space: FiniteSpace):
@@ -153,6 +155,15 @@ class LatticeOps:
         for x in items:
             acc = self._join[(acc, x)]
         return acc
+
+    top_index = cached_property(lambda self: self.space.index[self.top])
+    bottom_index = cached_property(lambda self: self.space.index[self.bottom])
+    meet_index = cached_property(lambda self: self._positions(self._meet))
+    join_index = cached_property(lambda self: self._positions(self._join))
+
+    def _positions(self, table) -> tuple:
+        index, pts = self.space.index, self.space.points
+        return tuple(tuple(index[table[x, y]] for y in pts) for x in pts)
 
 
 def _symmetric(table) -> dict:

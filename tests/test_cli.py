@@ -323,3 +323,50 @@ def test_paper_check_json_is_deterministic():
     _, first = run(argv)
     _, second = run(argv)
     assert first == second
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, space_file, capsys):
+    obj = tmp_path / "obj.json"
+    obj.write_text(to_json({
+        "base": space_to_dict(spaces.m3()),
+        "space": space_to_dict(spaces.point()),
+        "alpha": {"*": "a"},
+    }))
+    check = ["check", space_file(spaces.diamond()), "--props", "t0,lattice", "--json"]
+    calls = [
+        [],
+        check,
+        ["frobnicate"],
+        ["expo", str(obj), "--json"],
+        ["descent", str(obj)],
+        ["paper-check", "--suites", "poset-count-calibration", "--max-points", "2"],
+        ["paper-check", "--max-points", "x"],
+        ["expo", str(obj)],
+        [],
+        check[:-1],
+    ]
+
+    def answer(argv):
+        out = io.StringIO()
+        code = run_command(argv, out)
+        return code, out.getvalue(), capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    cli._parser.cache_clear()
+    assert [answer(argv) for argv in calls + calls] == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 1, 2, 0, 2, 1, 2, 0]
+
+
+def test_the_parser_is_built_once(monkeypatch, space_file):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    path = space_file(spaces.chain(2))
+    for argv in ([], ["frobnicate"], ["check", path]) * 5:
+        run(argv)
+    assert built == [1]
+    cli._parser.cache_clear()
