@@ -1,8 +1,9 @@
 """Lattice-theoretic analysis of a base space's natural order.
 
 All verdicts are computed by exhaustive bound search over the (small) point
-set; failures carry explicit witnesses so the harness can mine
-counterexamples.
+set, on the space's up and down masks and the lattice's meet and join
+tables over positions; labels appear only in the output tables and
+witnesses, which let the harness mine counterexamples.
 """
 
 from __future__ import annotations
@@ -21,20 +22,19 @@ from .errors import (
 )
 from .finspace import FiniteSpace, build_space, subsets
 
-
-def _greatest(space, candidates):
-    """The maximum of a candidate set under the space order, or None."""
-    for z in candidates:
-        if all(space.leq(w, z) for w in candidates):
-            return z
-    return None
+# spaces each report cache keeps: paper-check --max-points 6 and the
+# descent sweep keep at most 27, and lattice_bases(6) looks up 405
+CACHE_SIZE = 512
 
 
-def _least(space, candidates):
-    for z in candidates:
-        if all(space.leq(z, w) for w in candidates):
-            return z
-    return None
+def _extreme(space, rows, mask):
+    """The first point whose row in rows is mask, or None.
+
+    A down-closed mask has a greatest point exactly when it is that point's
+    down mask, and an up-closed mask a least point exactly when it is that
+    point's up mask.
+    """
+    return space.points[rows.index(mask)] if mask in rows else None
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,16 @@ class LatticeReport:
     is_complete_lattice: bool
     witnesses: tuple  # ("meet"|"join", x, y) for missing bounds
 
+    # the tables as dicts on both (x, y) and (y, x), built on first use;
+    # not fields, so equality, hashing and repr ignore them
+    meets = cached_property(lambda self: _symmetric(self.meet_table))
+    joins = cached_property(lambda self: _symmetric(self.join_table))
+
     def meet(self, x, y):
-        return dict(self.meet_table).get((x, y), dict(self.meet_table).get((y, x)))
+        return self.meets.get((x, y))
 
     def join(self, x, y):
-        return dict(self.join_table).get((x, y), dict(self.join_table).get((y, x)))
+        return self.joins.get((x, y))
 
     def to_json_dict(self):
         return {
@@ -71,31 +76,34 @@ class LatticeReport:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lattice_report(space: FiniteSpace) -> LatticeReport:
-    """Meet/join tables and completeness verdict by exhaustive bound search."""
+    """Meet/join tables and completeness verdict by exhaustive bound search.
+
+    The lower bounds of points i and j are down[i] & down[j], and their meet
+    is the point whose down mask that is; joins, top and bottom likewise.
+    """
     if not space.is_t0():
         raise NotT0("lattice analysis requires a T0 base")
-    pts = space.points
+    pts, up, down = space.points, space.up_masks, space.down_masks
     meet_table = []
     join_table = []
     witnesses = []
     for i, x in enumerate(pts):
-        for y in pts[i:]:
-            lower = [z for z in pts if space.leq(z, x) and space.leq(z, y)]
-            m = _greatest(space, lower)
+        for j, y in enumerate(pts[i:], i):
+            m = _extreme(space, down, down[i] & down[j])
             if m is None:
                 witnesses.append(("meet", x, y))
             else:
                 meet_table.append(((x, y), m))
-            upper = [z for z in pts if space.leq(x, z) and space.leq(y, z)]
-            j = _least(space, upper)
-            if j is None:
+            m = _extreme(space, up, up[i] & up[j])
+            if m is None:
                 witnesses.append(("join", x, y))
             else:
-                join_table.append(((x, y), j))
-    bottom = _least(space, pts) if pts else None
-    top = _greatest(space, pts) if pts else None
+                join_table.append(((x, y), m))
+    everything = (1 << len(pts)) - 1
+    bottom = _extreme(space, up, everything)
+    top = _extreme(space, down, everything)
     n_pairs = len(pts) * (len(pts) + 1) // 2
     is_meet = len(meet_table) == n_pairs
     is_join = len(join_table) == n_pairs
@@ -132,8 +140,8 @@ class LatticeOps:
         self.space = space
         self.bottom = report.bottom
         self.top = report.top
-        self._meet = _symmetric(report.meet_table)
-        self._join = _symmetric(report.join_table)
+        self._meet = report.meets
+        self._join = report.joins
 
     def leq(self, x, y):
         return self.space.leq(x, y)
@@ -175,7 +183,7 @@ def _symmetric(table) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lattice_ops(space: FiniteSpace) -> LatticeOps:
     return LatticeOps(space)
 
@@ -198,9 +206,9 @@ def order_to_space(points, pairs, which: str) -> FiniteSpace:
         closed = set()
         for s in probe.closed_sets():
             if all(
-                _codirected_inf(probe, sub) in s
+                _infimum(probe, sub) in s
                 for sub in subsets(s)
-                if _is_codirected(probe, sub) and _codirected_inf(probe, sub) is not None
+                if _is_codirected(probe, sub) and _infimum(probe, sub) is not None
             ):
                 closed.add(s)
     elif which == "lower":
@@ -234,19 +242,16 @@ def _is_codirected(space, subset) -> bool:
     )
 
 
-def _codirected_inf(space, subset):
-    lower = [z for z in space.points if all(space.leq(z, x) for x in subset)]
-    return _greatest(space, lower)
-
-
 @dataclass(frozen=True)
 class HeytingReport:
     is_heyting: bool
     implication_table: tuple  # ((x, y), z) pairs, partial
     failure_witness: object  # (x, y) or None
 
+    implications = cached_property(lambda self: dict(self.implication_table))
+
     def imp(self, x, y):
-        return dict(self.implication_table).get((x, y))
+        return self.implications.get((x, y))
 
     def to_json_dict(self):
         return {
@@ -256,19 +261,24 @@ class HeytingReport:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def heyting_report(space: FiniteSpace) -> HeytingReport:
-    """Implication x=>y as the maximum of {z : x/\\z <= y}, when it exists."""
+    """Implication x=>y as the maximum of {z : x/\\z <= y}, when it exists.
+
+    The down mask of x/\\z is down[x] & down[z], so x/\\z <= y exactly when
+    down[z] misses the points below x and not below y.
+    """
     report = lattice_report(space)
     if not report.is_meet_semilattice:
         raise NoMeets("Heyting analysis requires binary meets")
-    meet = _symmetric(report.meet_table)
+    down = space.down_masks
     table = []
     witness = None
-    for x in space.points:
-        for y in space.points:
-            candidates = [z for z in space.points if space.leq(meet[(x, z)], y)]
-            m = _greatest(space, candidates)
+    for x, dx in zip(space.points, down):
+        for y, dy in zip(space.points, down):
+            outside = dx & ~dy
+            candidates = sum(1 << k for k, dz in enumerate(down) if not dz & outside)
+            m = _extreme(space, down, candidates)
             if m is None:
                 if witness is None:
                     witness = (x, y)
@@ -288,11 +298,14 @@ class DistributivityReport:
     is_completely_distributive: bool
     witnesses: tuple
 
+    way_above_pairs = cached_property(lambda self: frozenset(self.way_above_table))
+    totally_below_pairs = cached_property(lambda self: frozenset(self.totally_below_table))
+
     def way_above(self, x, y):
-        return (x, y) in set(self.way_above_table)
+        return (x, y) in self.way_above_pairs
 
     def totally_below(self, v, u):
-        return (v, u) in set(self.totally_below_table)
+        return (v, u) in self.totally_below_pairs
 
     def to_json_dict(self):
         return {
@@ -306,29 +319,22 @@ class DistributivityReport:
         }
 
 
-def _dual(space: FiniteSpace) -> FiniteSpace:
-    return FiniteSpace(space.points, frozenset((y, x) for (x, y) in space.le))
+def _approximants(rows, bounds, sets) -> list:
+    """For each position y, the mask of the positions x such that every mask
+    S in sets whose bound bounds[S] lies in rows[y] meets rows[x].
+
+    With the down masks and the meets of the codirected sets, x is way above
+    y; with the up masks and the joins of the directed sets, x is way below
+    y; with the up masks and the joins of all sets, x is totally below y.
+    """
+    out = []
+    for row in rows:
+        under = [s for s in sets if row >> bounds[s] & 1]
+        out.append(sum(1 << x for x, r in enumerate(rows) if all(s & r for s in under)))
+    return out
 
 
-def _way_above_pairs(space, ops):
-    """x way above y: every codirected S with inf(S) <= y meets the down-set of x."""
-    pts = space.points
-    pairs = []
-    codirected = [s for s in subsets(pts) if _is_codirected(space, s)]
-    infs = {s: ops.meet_of(s) for s in codirected}
-    for x in pts:
-        for y in pts:
-            ok = True
-            for s in codirected:
-                if space.leq(infs[s], y) and not any(space.leq(e, x) for e in s):
-                    ok = False
-                    break
-            if ok:
-                pairs.append((x, y))
-    return pairs
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     """Frame/continuity/complete-distributivity verdicts with witnesses."""
     report = lattice_report(space)
@@ -345,47 +351,36 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     if not is_frame:
         witnesses.append(("implication-missing",) + hey.failure_witness)
 
-    way_above = _way_above_pairs(space, ops)
-    op_continuous = True
-    for x in pts:
-        above = [y for (y, z) in way_above if z == x]
-        if ops.meet_of(above) != x:
-            op_continuous = False
-            witnesses.append(("not-meet-of-way-above", x))
+    # the meet and join of every subset mask, from those of the mask
+    # without its lowest point
+    every = range(1 << len(pts))
+    meets, joins = [ops.top_index] * len(every), [ops.bottom_index] * len(every)
+    for s in every[1:]:
+        low, rest = (s & -s).bit_length() - 1, s & (s - 1)
+        meets[s] = ops.meet_index[low][meets[rest]]
+        joins[s] = ops.join_index[low][joins[rest]]
+    # a finite set is codirected exactly when it holds its meet, and
+    # directed exactly when it holds its join
+    down, up = space.down_masks, space.up_masks
+    way_above = _approximants(down, meets, [s for s in every if s >> meets[s] & 1])
+    way_below = _approximants(up, joins, [s for s in every if s >> joins[s] & 1])
+    totally_below = _approximants(up, joins, every)
 
-    dual = _dual(space)
-    dual_ops = lattice_ops(dual)
-    way_below = [(x, y) for (x, y) in _way_above_pairs(dual, dual_ops)]
-    continuous = True
-    for x in pts:
-        below = [y for (y, z) in way_below if z == x]
-        if dual_ops.meet_of(below) != x:  # a join in the original order
-            continuous = False
-            witnesses.append(("not-join-of-way-below", x))
-
-    # totally below: every S (any subset) with u <= \/S contains s >= v
-    totally_below = []
-    all_subsets = [tuple(sorted(s)) for s in subsets(pts)]
-    joins = {s: ops.join_of(s) for s in all_subsets}
-    for v in pts:
-        for u in pts:
-            ok = all(
-                not space.leq(u, joins[s]) or any(space.leq(v, e) for e in s)
-                for s in all_subsets
-            )
-            if ok:
-                totally_below.append((v, u))
-    completely = True
-    for u in pts:
-        below = [v for (v, w) in totally_below if w == u]
-        if ops.join_of(below) != u:
-            completely = False
-            witnesses.append(("not-join-of-totally-below", u))
+    verdicts = []
+    for tag, bounds, approximants in (
+        ("not-meet-of-way-above", meets, way_above),
+        ("not-join-of-way-below", joins, way_below),
+        ("not-join-of-totally-below", joins, totally_below),
+    ):
+        failed = [(tag, x) for y, x in enumerate(pts) if bounds[approximants[y]] != y]
+        witnesses += failed
+        verdicts.append(not failed)
+    op_continuous, continuous, completely = verdicts
 
     return DistributivityReport(
         is_frame=is_frame,
-        way_above_table=tuple(sorted(way_above)),
-        totally_below_table=tuple(sorted(totally_below)),
+        way_above_table=_pair_table(space, way_above),
+        totally_below_table=_pair_table(space, totally_below),
         is_continuous_lattice=continuous,
         is_op_continuous_lattice=op_continuous,
         is_completely_distributive=completely,
@@ -393,11 +388,30 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     )
 
 
+def _pair_table(space, masks) -> tuple:
+    """The sorted (x, y) label pairs with x in masks[position of y]."""
+    return tuple(sorted(
+        (x, y) for y, mask in zip(space.points, masks) for x in space.points_at(mask)
+    ))
+
+
+def _infimum(space, family):
+    """The greatest lower bound of a family of labels, or None.
+
+    Its lower bounds are the AND of the members' down masks (none for a
+    label outside the space).
+    """
+    index, down = space.index, space.down_masks
+    lower = (1 << len(space.points)) - 1
+    for x in family:
+        lower &= down[index[x]] if x in index else 0
+    return _extreme(space, down, lower)
+
+
 def require_meets(space: FiniteSpace, family):
     """The meet of a family, raising MeetsMissing with the family if absent."""
     family = list(family)
-    lower = [z for z in space.points if all(space.leq(z, x) for x in family)]
-    m = _greatest(space, lower)
+    m = _infimum(space, family)
     if m is None:
         raise MeetsMissing(f"no infimum for family {sorted(family)}", family=tuple(family))
     return m

@@ -1,6 +1,6 @@
 import pytest
 
-from laxtop import spaces
+from laxtop import order, spaces
 from laxtop.errors import MeetsMissing, NotACompleteLattice, NotT0
 from laxtop.finspace import build_space
 from laxtop.order import (
@@ -124,3 +124,18 @@ def test_require_meets():
     with pytest.raises(MeetsMissing) as exc:
         require_meets(spaces.antichain(2), ["0", "1"])
     assert exc.value.family
+
+
+def test_report_caches_keep_at_most_their_bound():
+    caches = (lattice_report, heyting_report, distributivity_report, lattice_ops)
+    bound = order.CACHE_SIZE
+    for i in range(bound + 8):  # relabelled 2-chains, each a fresh cache key
+        s = build_space([f"a{i}", f"b{i}"], order=[(f"a{i}", f"b{i}")])
+        for cached in caches:
+            cached(s)
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+    before = lattice_report.cache_info().hits
+    lattice_report(s)  # the most recent space is kept
+    assert lattice_report.cache_info().hits == before + 1
