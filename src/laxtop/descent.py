@@ -18,7 +18,7 @@ from .errors import (
     NotCompletelyDistributive,
     NotT0,
 )
-from .finspace import CMap, FiniteSpace, cmap, product_label, product_space
+from .finspace import CACHE_SIZE, CMap, FiniteSpace, cmap, product_label, product_space
 from .famx import fam_descent_check, fam_effective_descent_check, first_unrecovered, to_fam
 from .laxcomma import LaxMorphism
 from .order import distributivity_report, heyting_report, lattice_ops, lattice_report
@@ -87,7 +87,7 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
     return _scp_meet_compat(base)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=CACHE_SIZE)
 def _scp_meet_compat(base: FiniteSpace) -> bool:
     ops = lattice_ops(base)
     prod = product_space([base, base])
@@ -168,7 +168,7 @@ def _lift_value_sets(f: LaxMorphism):
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _all_w_ok(base: FiniteSpace, bound, values: frozenset) -> bool:
     """Is every w <= bound recovered as the join of its meets with values?"""
     return first_unrecovered(lattice_ops(base), bound, values) is None
@@ -191,7 +191,7 @@ def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
     return ConditionVerdict(True, None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _join_cached(base: FiniteSpace, values: frozenset):
     return lattice_ops(base).join_of(values)
 

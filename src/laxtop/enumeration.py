@@ -156,18 +156,13 @@ def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:
     return False
 
 
-def enumerate_posets(n: int, mode: str = "unlabeled"):
-    """Tuple of the posets on n points; one space per isomorphism class if unlabeled.
+def enumerate_posets(n: int):
+    """Tuple of the posets on n points, one space per isomorphism class.
 
     The classes come sorted by their canonical (points, sorted le) key.
     """
-    labeled = enumerate_labeled_posets(n)
-    if mode == "labeled":
-        return labeled
-    if mode != "unlabeled":
-        raise ValueError(f"unknown mode {mode!r}")
     seen = {}
-    for space in labeled:
+    for space in enumerate_labeled_posets(n):
         canon = canonical_form(space)
         key = (canon.points, tuple(sorted(canon.le)))
         if key not in seen:

@@ -31,13 +31,13 @@ from .order import (
     order_to_space,
 )
 from .laxcomma import (
-    LaxObject,
     exponential_object,
     exponentiability_report,
     function_label,
     lan_extension,
     lax_hom,
     lax_object,
+    lax_objects_over,
     lax_product,
     lax_pullback,
     lax_sum,
@@ -142,14 +142,6 @@ def lattice_bases(n: int):
 @lru_cache(maxsize=None)
 def frame_bases(n: int):
     return tuple(s for s in lattice_bases(n) if heyting_report(s).is_heyting)
-
-
-def lax_objects_over(base, carriers):
-    out = []
-    for c in carriers:
-        for alpha in enumerate_cmaps(c, base):
-            out.append(LaxObject(c, alpha))
-    return tuple(out)
 
 
 # -- suites ------------------------------------------------------------------
@@ -332,7 +324,7 @@ def suite_lower_adjoint_continuity(cfg):
                 )
                 if has_adjoint:
                     t.check(
-                        is_continuous(dict(g.table), y_sp, x_sp), (x_sp, y_sp, g)
+                        is_continuous(g.image, y_sp, x_sp), (x_sp, y_sp, g)
                     )
     return t.result()
 
@@ -631,44 +623,38 @@ def _lax_triples(base, carriers):
     down-sets of the values of beta . f.
     """
     width = len(base.points)
-    index, down = base.index, base.down_masks
+    down = base.down_masks
     into_base = [enumerate_cmaps(sp, base) for sp in carriers]
     codes_of = [
-        [sum(1 << index[v] << k * width for k, (_, v) in enumerate(m.table)) for m in maps]
+        [sum(1 << j << k * width for k, j in enumerate(m.positions)) for m in maps]
         for maps in into_base
     ]
     for a_sp, alphas, codes in zip(carriers, into_base, codes_of):
         for b_sp, betas in zip(carriers, into_base):
             for f in enumerate_cmaps(a_sp, b_sp):
                 lifts = _pair_lifts(f)
-                over = [f.image[a] for a in a_sp.points]
                 for beta in betas:
-                    bound = sum(
-                        down[index[beta.image[b]]] << k * width for k, b in enumerate(over)
-                    )
+                    over = beta.positions
+                    bound = sum(down[over[j]] << k * width for k, j in enumerate(f.positions))
                     for alpha, code in zip(alphas, codes):
                         if code & bound == code:
                             yield f, alpha, beta, lifts
 
 
 class _ValueMasks(dict):
-    """Map tables into a base to their value masks, coding each table once.
+    """Maps into a base, by their positions, to their value masks, coding each once.
 
     The value mask of a set of source positions is the OR of the base point
-    bits of the values at those positions; a table's entry lists them all,
+    bits of the values at those positions; a map's entry lists them all,
     indexed by the positions' mask.
     """
 
-    def __init__(self, base):
-        super().__init__()
-        self.index = base.index
-
-    def __missing__(self, table):
+    def __missing__(self, positions):
         out = [0]
-        for (_, v) in table:
-            bit = 1 << self.index[v]
+        for j in positions:
+            bit = 1 << j
             out += [m | bit for m in out]
-        self[table] = out
+        self[positions] = out
         return out
 
 
@@ -681,8 +667,8 @@ def _lifted_positions(f, lifts):
     """
     position, target = f.source.index, f.target.index
     fibres = [0] * len(target)
-    for k, (_, b) in enumerate(f.table):
-        fibres[target[b]] |= 1 << k
+    for k, j in enumerate(f.positions):
+        fibres[j] |= 1 << k
     lifted = []
     for (b1, _), pairs in lifts.items():
         over = 0
@@ -703,9 +689,8 @@ def allw_join_coherence(base, carriers):
     Family descent is tested before any lifted pair is read.
     """
     allw, join = condition_tables(base)
-    index = base.index
-    join = [index[v] for v in join]
-    codes = _ValueMasks(base)
+    join = [base.index[v] for v in join]
+    codes = _ValueMasks()
     checked = 0
     discrepancies = []
     last_f = last_beta = None
@@ -715,10 +700,10 @@ def allw_join_coherence(base, carriers):
                 last_f = f
                 fibres, lifted = _lifted_positions(f, lifts)
             last_beta = beta
-            bounds = [index[v] for (_, v) in beta.table]
+            bounds = beta.positions
             rows = [allw[i] for i in bounds]  # the all-w row of each bound
             fibre_rows = list(zip(rows, fibres))
-        values = codes[alpha.table]
+        values = codes[alpha.positions]
         for row, fibre in fibre_rows:
             if not row[values[fibre]]:
                 break
@@ -763,8 +748,8 @@ def sierpinski_specialization(carriers):
     the closed parts.
     """
     base = spaces.sierpinski()
-    _, join = condition_tables(base)
-    codes = _ValueMasks(base)
+    join = [base.index[v] for v in condition_tables(base)[1]]
+    codes = _ValueMasks()
     checked = 0
     discrepancies = []
     last_f = None
@@ -773,8 +758,8 @@ def sierpinski_specialization(carriers):
             last_f = f
             chains_ok = top_effective_descent_check(f).is_effective
             _, lifted = _lifted_positions(f, lifts)
-        values = codes[alpha.table]
-        join_ok = all(join[values[over]] == beta.table[j][1] for j, over in lifted)
+        values = codes[alpha.positions]
+        join_ok = all(join[values[over]] == beta.positions[j] for j, over in lifted)
         closed_lift = closed_part_lifting(alpha, beta, lifts)
         checked += 1
         if (bool(chains_ok) and join_ok) != (bool(chains_ok) and closed_lift):

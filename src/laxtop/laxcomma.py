@@ -403,7 +403,7 @@ def _exchange_routes(obj: LaxObject, ops, gamma: tuple, q: tuple, q_down: tuple)
     base = obj.base
     meet, join, base_down = ops.meet_index, ops.join_index, base.down_masks
     a_down = obj.space.down_masks
-    alpha = [base.index[x] for _, x in obj.alpha.table]
+    alpha = obj.alpha.positions
 
     def join_of(values):
         acc = ops.bottom_index
@@ -524,13 +524,11 @@ _TEST_SPACES = (
 )
 
 
-def default_test_objects(base: FiniteSpace):
-    """Every lax object over the base carried by a space with <= 2 points."""
-    out = []
-    for space in _TEST_SPACES:
-        for alpha in enumerate_cmaps(space, base):
-            out.append(LaxObject(space, alpha))
-    return out
+def lax_objects_over(base: FiniteSpace, carriers) -> tuple:
+    """Every lax object over the base carried by one of the carriers, in order."""
+    return tuple(
+        LaxObject(space, alpha) for space in carriers for alpha in enumerate_cmaps(space, base)
+    )
 
 
 def verify_product(objects, product: LaxProduct) -> OracleResult:
@@ -539,7 +537,7 @@ def verify_product(objects, product: LaxProduct) -> OracleResult:
     base = product.obj.base
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in default_test_objects(base):
+    for cand in lax_objects_over(base, _TEST_SPACES):
         legs = [lax_hom(cand, o) for o in objects]
         for cone in itertools.product(*legs):
             checked += 1
@@ -565,7 +563,7 @@ def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer) -> 
     budget = Budget("oracle candidate")
     checked = 0
     q = coeq.quotient.underlying
-    for cand in default_test_objects(base):
+    for cand in lax_objects_over(base, _TEST_SPACES):
         for h in lax_hom(f.target, cand):
             hu = h.underlying
             if any(
@@ -592,7 +590,7 @@ def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential) ->
     base = a_obj.base
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in default_test_objects(base):
+    for cand in lax_objects_over(base, _TEST_SPACES):
         prod = lax_product([a_obj, cand])
         direct = {m.underlying.table for m in lax_hom(prod.obj, b_obj)}
         budget.spend(len(direct))
@@ -614,7 +612,7 @@ def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject) -> OracleResu
     base = lift.base
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in default_test_objects(base):
+    for cand in lax_objects_over(base, _TEST_SPACES):
         for h in enumerate_cmaps(cand.space, space):
             budget.spend()
             checked += 1

@@ -20,11 +20,7 @@ from .errors import (
     NotAPartialOrder,
     NotT0,
 )
-from .finspace import FiniteSpace, build_space, subsets
-
-# spaces each report cache keeps: paper-check --max-points 6 and the
-# descent sweep keep at most 27, and lattice_bases(6) looks up 405
-CACHE_SIZE = 512
+from .finspace import CACHE_SIZE, FiniteSpace, build_space, subsets
 
 
 def _extreme(space, rows, mask):

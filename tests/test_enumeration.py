@@ -56,7 +56,7 @@ def test_dedup_oracle_agrees_with_canonical_enumeration():
 
 
 def test_enumerated_posets_are_valid_partial_orders():
-    for s in enumerate_posets(3, mode="labeled"):
+    for s in enumerate_labeled_posets(3):
         assert isinstance(s, FiniteSpace)
         assert s.is_t0()
 

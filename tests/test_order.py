@@ -1,6 +1,6 @@
 import pytest
 
-from laxtop import order, spaces
+from laxtop import descent, finspace, order, spaces
 from laxtop.errors import MeetsMissing, NotACompleteLattice, NotT0
 from laxtop.finspace import build_space
 from laxtop.order import (
@@ -127,15 +127,27 @@ def test_require_meets():
 
 
 def test_report_caches_keep_at_most_their_bound():
-    caches = (lattice_report, heyting_report, distributivity_report, lattice_ops)
-    bound = order.CACHE_SIZE
+    # every space-keyed cache of the package, each with a call on one space
+    caches = {
+        lattice_report: lambda s: (s,),
+        heyting_report: lambda s: (s,),
+        distributivity_report: lambda s: (s,),
+        lattice_ops: lambda s: (s,),
+        finspace._down_sets: lambda s: (s,),
+        finspace._monotone_tables: lambda s: (s, s),
+        descent._all_w_ok: lambda s: (s, s.points[1], frozenset(s.points[:1])),
+        descent._join_cached: lambda s: (s, frozenset(s.points)),
+        descent._scp_meet_compat: lambda s: (s,),
+    }
+    bound = finspace.CACHE_SIZE
+    assert order.CACHE_SIZE is descent.CACHE_SIZE is bound  # one constant
     for i in range(bound + 8):  # relabelled 2-chains, each a fresh cache key
         s = build_space([f"a{i}", f"b{i}"], order=[(f"a{i}", f"b{i}")])
-        for cached in caches:
-            cached(s)
+        for cached, args in caches.items():
+            cached(*args(s))
     for cached in caches:
         info = cached.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
-    before = lattice_report.cache_info().hits
-    lattice_report(s)  # the most recent space is kept
-    assert lattice_report.cache_info().hits == before + 1
+        assert info.maxsize == bound and info.currsize == bound, cached
+        before = info.hits
+        cached(*caches[cached](s))  # the most recent space is kept
+        assert cached.cache_info().hits == before + 1, cached
