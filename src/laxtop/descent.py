@@ -18,7 +18,15 @@ from .errors import (
     NotCompletelyDistributive,
     NotT0,
 )
-from .finspace import CACHE_SIZE, CMap, FiniteSpace, cmap, product_label, product_space
+from .finspace import (
+    CACHE_SIZE,
+    CMap,
+    FiniteSpace,
+    _union,
+    cmap,
+    product_label,
+    product_space,
+)
 from .famx import fam_descent_check, fam_effective_descent_check, first_unrecovered, to_fam
 from .laxcomma import LaxMorphism
 from .order import distributivity_report, heyting_report, lattice_ops, lattice_report
@@ -127,24 +135,31 @@ def top_descent_check(f: CMap) -> DescentReport:
 
 
 def top_effective_descent_check(f: CMap) -> DescentReport:
-    """Effective descent in Top: every 2-chain downstairs lifts upstairs."""
+    """Effective descent in Top: every 2-chain downstairs lifts upstairs.
+
+    A chain b0 <= b1 <= b2 lifts iff some point over b1 is above a point
+    over b0 and below a point over b2.
+    """
     descent = top_descent_check(f)
-    image, src_up, tgt_up = f.image, f.source.above, f.target.above
-    lifted = {
-        (image[a0], image[a1], image[a2])
-        for a0, over in src_up.items()
-        for a1 in over
-        for a2 in src_up[a1]
-    }
-    for b0, over in tgt_up.items():
-        for b1 in over:
-            for b2 in tgt_up[b1]:
-                if (b0, b1, b2) not in lifted:
+    image, src_up, tgt_up = f.positions, f.source.up_masks, f.target.up_masks
+    bits = [1 << j for j in image]
+    reach = [_union(bits, up) for up in src_up]  # the image of each source up-set
+    fibre = [0] * len(tgt_up)
+    for a, b in enumerate(image):
+        fibre[b] |= 1 << a
+    for b0, row in enumerate(tgt_up):
+        above = _union(src_up, fibre[b0])  # every source point above a point over b0
+        for b1, b1_up in enumerate(tgt_up):
+            if row >> b1 & 1:
+                missing = b1_up & ~_union(reach, above & fibre[b1])
+                if missing:
+                    pts = f.target.points
+                    chain = (pts[b0], pts[b1], pts[(missing & -missing).bit_length() - 1])
                     return DescentReport(
                         "top",
                         descent.is_descent,
                         False,
-                        witnesses=descent.witnesses + (("chain", (b0, b1, b2)),),
+                        witnesses=descent.witnesses + (("chain", chain),),
                     )
     return DescentReport("top", descent.is_descent, True, witnesses=descent.witnesses)
 

@@ -29,18 +29,17 @@ def enumerate_labeled_posets(n: int, cap: int | None = None):
     point by point.  Each level is charged the 2**(n-1) masks without bit i
     to ``cap`` (default: the work budget), but only the submasks of what the
     earlier points allow are visited.  The returned spaces share their
-    label-pair tuples.
+    points tuple.
     """
     pts = _labels(n)
-    pair = [[(a, b) for a in pts] for b in pts]  # pair[k][j] = (p_j, p_k)
     full = (1 << n) - 1
     budget = Budget("labeled poset search", cap)
     out = []
 
-    def rec(downs, le):
+    def rec(downs, ups):
         i = len(downs)
         if i == n:
-            out.append(FiniteSpace(pts, frozenset(le)))
+            out.append(FiniteSpace(pts, ups))
             return
         budget.spend(1 << (n - 1))
         # antisymmetry and transitivity towards every earlier j above i
@@ -52,12 +51,13 @@ def enumerate_labeled_posets(n: int, cap: int | None = None):
         while True:
             # transitivity towards every earlier j below i
             if all(not m >> j & 1 or not downs[j] & ~m for j in range(i)):
-                rec(downs + [m], le + [pair[i][j] for j in range(n) if m >> j & 1])
+                bit = 1 << i  # every point of m is below point i
+                rec(downs + [m], tuple(u | bit if m >> j & 1 else u for j, u in enumerate(ups)))
             if m == bound:
                 return
             m = (m - bound) & bound  # the next submask of bound
 
-    rec([], [pair[k][k] for k in range(n)])
+    rec([], tuple(1 << j for j in range(n)))
     return tuple(out)
 
 
@@ -122,8 +122,13 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
     """Relabel to p0..p{n-1} with the minimal matrix among class-respecting orders."""
     pts = space.points
     n = len(pts)
-    idx = {p: i for i, p in enumerate(pts)}
-    strict = [(idx[x], idx[y]) for (x, y) in space.le if x != y]
+    strict = []
+    for i, row in enumerate(space.up_masks):
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            strict.append((i, low.bit_length() - 1))
+            row ^= low
     colors = _refine_colors(n, strict)
     classes = {}
     for i, c in enumerate(colors):
@@ -135,10 +140,10 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
     )
     perm = min(orders, key=lambda p: _rows(strict, p))
     pos = _positions(perm)
-    labels = _labels(n)
-    le = [(l, l) for l in labels]
-    le += [(labels[pos[i]], labels[pos[j]]) for i, j in strict]
-    return FiniteSpace(labels, frozenset(le))
+    rows = [1 << a for a in range(n)]
+    for i, j in strict:
+        rows[pos[i]] |= 1 << pos[j]
+    return FiniteSpace(_labels(n), tuple(rows))
 
 
 def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:
@@ -164,10 +169,8 @@ def enumerate_posets(n: int):
     seen = {}
     for space in enumerate_labeled_posets(n):
         canon = canonical_form(space)
-        key = (canon.points, tuple(sorted(canon.le)))
-        if key not in seen:
-            seen[key] = canon
-    return tuple(seen[k] for k in sorted(seen))
+        seen.setdefault(canon.up_masks, canon)
+    return tuple(sorted(seen.values(), key=lambda s: (s.points, sorted(s.le))))
 
 
 def enumerate_labeled_preorders(n: int):
@@ -177,17 +180,12 @@ def enumerate_labeled_preorders(n: int):
     Budget("preorder search").spend(1 << len(pairs))
     out = []
     for mask in range(1 << len(pairs)):
-        rel = {(i, i) for i in range(n)}
-        rel.update(p for k, p in enumerate(pairs) if mask >> k & 1)
-        if all(
-            (x, w) in rel
-            for (x, y) in rel
-            for (z, w) in rel
-            if y == z
-        ):
-            out.append(
-                FiniteSpace(pts, frozenset((pts[i], pts[j]) for (i, j) in rel))
-            )
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                rows[i] |= 1 << j
+        if all(not row >> j & 1 or not rows[j] & ~row for row in rows for j in range(n)):
+            out.append(FiniteSpace(pts, tuple(rows)))
     return tuple(out)
 
 

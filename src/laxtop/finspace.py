@@ -31,39 +31,69 @@ CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite point set together with its natural-order preorder.
+    """A finite point set together with its natural-order preorder, as rows.
 
-    ``le`` contains the pair (x, y) exactly when x <= y.  The relation is
-    validated to be reflexive and transitive; antisymmetry is *not* required
-    (non-T0 spaces are legal).
+    Bit j of ``up_masks[i]`` is set exactly when points[i] <= points[j].  The
+    rows are validated to be reflexive and transitive; antisymmetry is *not*
+    required (non-T0 spaces are legal).
 
-    The order index is built on first use and is not a field: equality,
-    hashing, repr and serialization ignore it, and a space that is never
-    queried stores none of it.  ``index`` maps each point to its position;
-    bit j of ``up_masks[i]`` is set iff points[i] <= points[j], and of
-    ``down_masks[i]`` iff points[j] <= points[i].
+    The label views are built on first use and are not fields: equality,
+    hashing and repr ignore them, and a space that is never asked for them
+    stores none of them.  ``index`` maps each point to its position, bit j
+    of ``down_masks[i]`` is set iff points[j] <= points[i], and ``le``
+    contains the pair (x, y) exactly when x <= y.
     """
 
     points: tuple
-    le: frozenset
+    up_masks: tuple
     provenance: str = "order"
     name: str = ""
 
     def __post_init__(self):
-        _order_index(self.points, self.le)  # validates; the index is rebuilt on use
+        points, rows = self.points, self.up_masks
+        if len(set(points)) != len(points):
+            _relation_rows(points, ())  # raises DuplicatePoint on the first repeat
+        n = len(points)
+        if len(rows) != n or any(row >> n for row in rows):
+            raise UnknownLabel(f"order rows do not fit the {n} points")
+        for i, p in enumerate(points):
+            if not rows[i] >> i & 1:
+                raise NotATopology(f"relation not reflexive at {p!r}")
+        for x, row in zip(points, rows):
+            rest = row
+            while rest:  # each j with x <= points[j], in point order
+                low = rest & -rest
+                j = low.bit_length() - 1
+                missing = rows[j] & ~row  # every z above points[j] and not above x
+                if missing:
+                    y, z = points[j], points[(missing & -missing).bit_length() - 1]
+                    raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
+                rest ^= low
 
     # -- order queries -----------------------------------------------------
 
     def leq(self, x, y) -> bool:
-        return (x, y) in self.le
+        index = self.index
+        try:
+            return self.up_masks[index[x]] >> index[y] & 1 == 1
+        except KeyError:  # a label outside the space is below nothing
+            return False
 
-    _order = cached_property(lambda self: _order_index(self.points, self.le))
-    index = cached_property(lambda self: self._order[0])
-    up_masks = cached_property(lambda self: tuple(self._order[1]))
+    index = cached_property(lambda self: {p: i for i, p in enumerate(self.points)})
     down_masks = cached_property(lambda self: tuple(  # the columns of up_masks
         sum(1 << i for i, row in enumerate(self.up_masks) if row >> j & 1)
         for j in range(len(self.points))
     ))
+
+    @cached_property
+    def le(self) -> frozenset:
+        pts, pairs = self.points, []
+        for x, row in zip(pts, self.up_masks):
+            while row:
+                low = row & -row
+                pairs.append((x, pts[low.bit_length() - 1]))
+                row ^= low
+        return frozenset(pairs)
 
     def points_at(self, mask: int) -> tuple:
         """The points whose bits are set in mask, in point order."""
@@ -143,20 +173,6 @@ def _relation_rows(points, pairs):
     return index, up
 
 
-def _order_index(points, le):
-    """(index, up masks) of a preorder, raising unless le is one on the points."""
-    index, up = _relation_rows(points, le)
-    for i, p in enumerate(points):
-        if not up[i] >> i & 1:
-            raise NotATopology(f"relation not reflexive at {p!r}")
-    for (x, y) in le:
-        missing = up[index[y]] & ~up[index[x]]  # every z with y <= z but not x <= z
-        if missing:
-            z = points[(missing & -missing).bit_length() - 1]
-            raise NotATopology(f"relation not transitive: {x!r}<={y!r}<={z!r}")
-    return index, up
-
-
 def _union(rows, mask: int) -> int:
     """The OR of rows[i] over the set bits i of mask."""
     out = 0
@@ -165,6 +181,11 @@ def _union(rows, mask: int) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _restricted_rows(rows, at) -> tuple:
+    """The rows of the order restricted to the positions at, taken in that order."""
+    return tuple(sum(1 << k for k, j in enumerate(at) if rows[i] >> j & 1) for i in at)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -269,7 +290,7 @@ def is_monotone(image, rows, target_rows) -> bool:
 
 
 def _transitive_reflexive_closure(points, pairs):
-    """The least preorder on the points that contains the pairs."""
+    """The rows of the least preorder on the points that contains the pairs."""
     _, up = _relation_rows(points, pairs)
     for i in range(len(up)):
         up[i] |= 1 << i
@@ -278,9 +299,7 @@ def _transitive_reflexive_closure(points, pairs):
         for i, row in enumerate(up):
             if row >> k & 1:
                 up[i] = row | through
-    return frozenset(
-        (x, y) for x, row in zip(points, up) for j, y in enumerate(points) if row >> j & 1
-    )
+    return tuple(up)
 
 
 def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
@@ -297,11 +316,12 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
         raise NotATopology("exactly one of opens/order must be given")
 
     if order is not None:
+        order = tuple(order)
         for (x, y) in order:
             if x not in seen or y not in seen:
                 raise UnknownLabel(f"order mentions unknown point ({x!r}, {y!r})")
-        le = _transitive_reflexive_closure(points, order)
-        return FiniteSpace(points, le, provenance="order", name=name)
+        rows = _transitive_reflexive_closure(points, order)
+        return FiniteSpace(points, rows, provenance="order", name=name)
 
     family = []
     for o in opens:
@@ -324,10 +344,13 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
         if a & b not in fam:
             raise NotATopology("family not closed under intersection", offending=(a, b))
 
-    le = frozenset(
-        (x, y) for x in points for y in points if all(x in o for o in family if y in o)
+    masks = [sum(1 << seen[x] for x in o) for o in family]
+    n = len(points)
+    rows = tuple(  # x <= y iff every open set holding y holds x
+        sum(1 << j for j in range(n) if all(m >> i & 1 for m in masks if m >> j & 1))
+        for i in range(n)
     )
-    space = FiniteSpace(points, le, provenance="opens", name=name)
+    space = FiniteSpace(points, rows, provenance="opens", name=name)
     if set(space.open_sets()) != fam:
         # cannot happen for a genuine finite topology; guards invalid input
         raise NotATopology("open family does not match its own natural order")
@@ -353,10 +376,8 @@ def t0_report(space: FiniteSpace) -> T0Report:
         for x, u, d in zip(space.points, space.up_masks, space.down_masks)
     }
     classes = sorted(set(rep.values()))
-    le = frozenset(
-        (a, b) for a in classes for b in classes if space.leq(a, b)
-    )
-    reflection = FiniteSpace(tuple(classes), le, provenance="order")
+    rows = _restricted_rows(space.up_masks, [space.index[c] for c in classes])
+    reflection = FiniteSpace(tuple(classes), rows, provenance="order")
     eta = cmap(space, reflection, rep)
     return T0Report(space.is_t0(), reflection, eta)
 
@@ -369,6 +390,7 @@ class ClosureInfo:
 
 
 def closure_ops(space: FiniteSpace, subset) -> ClosureInfo:
+    subset = tuple(subset)
     space.check_labels(subset)
     s = frozenset(subset)
     closure = space.up_closure(s)
@@ -416,19 +438,21 @@ class SpaceWithMaps:
 def product_space(spaces) -> SpaceWithMaps:
     """Product with componentwise order; points get labels "(a,b,...)".
 
-    The points come in the order of their coordinates; the points above
-    one are the products of the up-sets of its coordinates.
+    The points come in the order of their coordinates, so the row of
+    (c, x) holds the row of x once at the place of each point above c.
     """
     spaces = list(spaces)
     combos = list(itertools.product(*(s.points for s in spaces)))
     labels = tuple(product_label(c) for c in combos)
-    label_of = dict(zip(combos, labels))
-    le = frozenset(
-        (label_of[c], label_of[d])
-        for c in combos
-        for d in itertools.product(*(s.above[x] for s, x in zip(spaces, c)))
-    )
-    prod = FiniteSpace(labels, le, provenance="order")
+    rows = [1]  # the one point of the empty product
+    for s in spaces:
+        width = len(s.points)
+        rows = [
+            sum(up << (k * width) for k in range(len(rows)) if row >> k & 1)
+            for row in rows
+            for up in s.up_masks
+        ]
+    prod = FiniteSpace(labels, tuple(rows), provenance="order")
     projections = tuple(
         cmap(prod, s, {lab: c[i] for lab, c in zip(labels, combos)})
         for i, s in enumerate(spaces)
@@ -442,11 +466,11 @@ def sum_space(spaces) -> SpaceWithMaps:
     labels = []
     for i, s in enumerate(spaces):
         labels.extend(f"in{i}:{p}" for p in s.points)
-    le = set()
-    for i, s in enumerate(spaces):
-        for (x, y) in s.le:
-            le.add((f"in{i}:{x}", f"in{i}:{y}"))
-    total = FiniteSpace(tuple(labels), frozenset(le), provenance="order")
+    rows, offset = [], 0
+    for s in spaces:
+        rows.extend(up << offset for up in s.up_masks)
+        offset += len(s.points)
+    total = FiniteSpace(tuple(labels), tuple(rows), provenance="order")
     injections = tuple(
         cmap(s, total, {p: f"in{i}:{p}" for p in s.points})
         for i, s in enumerate(spaces)
@@ -463,10 +487,12 @@ class InducedSpace:
 def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
     """Subspace (restricted order) or quotient (final topology)."""
     if kind == "subspace":
+        data = tuple(data)
         base.check_labels(data)
-        pts = tuple(p for p in base.points if p in set(data))
-        le = frozenset((x, y) for (x, y) in base.le if x in set(pts) and y in set(pts))
-        sub = FiniteSpace(pts, le, provenance="order")
+        chosen = set(data)
+        at = [i for i, p in enumerate(base.points) if p in chosen]
+        pts = tuple(base.points[i] for i in at)
+        sub = FiniteSpace(pts, _restricted_rows(base.up_masks, at), provenance="order")
         return InducedSpace(sub, cmap(sub, base, {p: p for p in pts}))
     if kind == "quotient":
         table = dict(data)

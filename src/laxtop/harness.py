@@ -240,9 +240,8 @@ def suite_product_sum_universality(cfg):
 def suite_three_topologies(cfg):
     t = Tally("three-topologies")
     for s in posets_up_to(cfg.max_points):
-        strict = [(x, y) for (x, y) in s.le if x != y]
         built = {
-            kind: order_to_space(s.points, strict, kind)
+            kind: order_to_space(s, kind)
             for kind in ("lower", "scott", "alexandroff")
         }
         same = (
@@ -303,11 +302,9 @@ def suite_lower_adjoint_continuity(cfg):
     t = Tally("lower-adjoint-continuity")
     bases = [s for s in lattice_bases(min(cfg.max_points, 3))]
     for x_ord in bases:
-        strict_x = [(a, b) for (a, b) in x_ord.le if a != b]
-        x_sp = order_to_space(x_ord.points, strict_x, "lower")
+        x_sp = order_to_space(x_ord, "lower")
         for y_ord in bases:
-            strict_y = [(a, b) for (a, b) in y_ord.le if a != b]
-            y_sp = order_to_space(y_ord.points, strict_y, "lower")
+            y_sp = order_to_space(y_ord, "lower")
             for g in enumerate_cmaps(y_sp, x_sp):
                 # g has a left adjoint iff every point has a least preimage bound
                 has_adjoint = all(
@@ -586,8 +583,7 @@ def suite_vietoris_lower_topology(cfg):
     t = Tally("vietoris-lower-topology")
     for s in posets_up_to(min(cfg.max_points, 3)):
         v = vietoris_space(s)  # hit-topology cross-check runs inside
-        strict = [(x, y) for (x, y) in v.space.le if x != y]
-        lower = order_to_space(v.space.points, strict, "lower")
+        lower = order_to_space(v.space, "lower")
         t.check(set(lower.open_sets()) == set(v.space.open_sets()), s)
     return t.result()
 
@@ -820,8 +816,7 @@ def suite_pullback_meet_identity(cfg):
 def suite_lower_lattice_meets(cfg):
     t = Tally("lower-lattice-meets")
     for s in lattice_bases(cfg.max_points):
-        strict = [(x, y) for (x, y) in s.le if x != y]
-        sp = order_to_space(s.points, strict, "lower")
+        sp = order_to_space(s, "lower")
         ok = lattice_report(sp).is_complete_lattice and scp_meet_compat_check(sp)
         t.check(ok, s)
     return t.result()

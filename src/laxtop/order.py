@@ -184,32 +184,32 @@ def lattice_ops(space: FiniteSpace) -> LatticeOps:
     return LatticeOps(space)
 
 
-def order_to_space(points, pairs, which: str) -> FiniteSpace:
-    """Equip a partial order with its lower, Scott, or Alexandroff topology.
+def order_to_space(order: FiniteSpace, which: str) -> FiniteSpace:
+    """Equip the natural order of a T0 space with its lower, Scott, or
+    Alexandroff topology.
 
     For finite orders all three coincide; each family is still constructed
     literally from its definition so the coincidence is checkable.
     """
-    probe = build_space(points, order=pairs)
-    if not probe.is_t0():
-        raise NotAPartialOrder("input relation closure is not antisymmetric")
-    pts = list(probe.points)
+    if not order.is_t0():
+        raise NotAPartialOrder("input order is not antisymmetric")
+    pts = list(order.points)
     full = frozenset(pts)
 
     if which == "alexandroff":
-        closed = set(probe.closed_sets())
+        closed = set(order.closed_sets())
     elif which == "scott":
         closed = set()
-        for s in probe.closed_sets():
+        for s in order.closed_sets():
             if all(
-                _infimum(probe, sub) in s
+                _infimum(order, sub) in s
                 for sub in subsets(s)
-                if _is_codirected(probe, sub) and _infimum(probe, sub) is not None
+                if _is_codirected(order, sub) and _infimum(order, sub) is not None
             ):
                 closed.add(s)
     elif which == "lower":
         # subbasis {up(a)}; close under intersection, then under union
-        gens = {probe.up(a) for a in pts} | {frozenset(), full}
+        gens = {order.up(a) for a in pts} | {frozenset(), full}
         closed = set(gens)
         changed = True
         while changed:
@@ -224,7 +224,7 @@ def order_to_space(points, pairs, which: str) -> FiniteSpace:
 
     opens = [full - c for c in closed]
     space = build_space(pts, opens=opens)
-    if space.le != probe.le:
+    if space.up_masks != order.up_masks:
         raise NotAPartialOrder("constructed topology does not induce the input order")
     return space
 

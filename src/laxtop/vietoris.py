@@ -45,13 +45,10 @@ def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSp
     closed = base.closed_sets()
     Budget("Vietoris order").spend(len(closed) ** 2)
     labels = tuple(set_label(c, base.points) for c in closed)
-    by_label = dict(zip(labels, closed))
-    le = frozenset(
-        (la, lb) for la in labels for lb in labels if by_label[la] >= by_label[lb]
-    )
-    space = FiniteSpace(labels, le, provenance="order")
+    rows = tuple(sum(1 << j for j, d in enumerate(closed) if c >= d) for c in closed)
+    space = FiniteSpace(labels, rows, provenance="order")
     if check_topology:
-        _check_hit_topology(base, space, by_label)
+        _check_hit_topology(base, space, dict(zip(labels, closed)))
     return VietorisSpace(base, space, tuple(zip(labels, closed)))
 
 

@@ -67,9 +67,6 @@ def test_relabeling_preserves_isomorphism(perm, pick):
     posets = enumerate_posets(4)
     s = posets[pick % len(posets)]
     translation = dict(zip(s.points, perm))
-    relabeled = FiniteSpace(
-        tuple(perm),
-        frozenset((translation[x], translation[y]) for (x, y) in s.le),
-    )
+    relabeled = build_space(perm, order=[(translation[x], translation[y]) for (x, y) in s.le])
     assert are_isomorphic(s, relabeled)
     assert canonical_form(s).le == canonical_form(relabeled).le

@@ -20,7 +20,7 @@ from laxtop.enumeration import (
     enumerate_posets,
 )
 from laxtop.errors import CapExceeded
-from laxtop.finspace import FiniteSpace
+from laxtop.finspace import build_space
 
 
 def _labels(n):
@@ -57,7 +57,7 @@ def reference_labeled_posets(n, charges=None):
                     if downs[k] >> j & 1
                 }
             )
-            out.append(FiniteSpace(pts, le))
+            out.append(build_space(pts, order=le))
             return
         if charges is not None:
             charges.append(len(options[i]))
@@ -120,7 +120,7 @@ def reference_canonical_form(space):
         {(l, l) for l in labels}
         | {(labels[i], labels[j]) for i in range(n) for j in range(n) if enc[i * n + j]}
     )
-    return FiniteSpace(labels, le)
+    return build_space(labels, order=le)
 
 
 def reference_posets(n):

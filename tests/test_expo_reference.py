@@ -16,7 +16,7 @@ import itertools
 import pytest
 
 from laxtop.errors import InternalInconsistency, LaxtopError
-from laxtop.finspace import FiniteSpace, cmap, product_space, subsets
+from laxtop.finspace import build_space, cmap, product_space, subsets
 from laxtop.harness import lattice_bases, lax_objects_over, posets_up_to
 from laxtop.laxcomma import (
     ExponentiabilityReport,
@@ -76,7 +76,7 @@ def _lan_commutation_holds(a_obj, gamma, q):
 
 def _discrete_space(n):
     pts = tuple(f"c{i}" for i in range(n))
-    return FiniteSpace(pts, frozenset((p, p) for p in pts))
+    return build_space(pts, order=())
 
 
 def reference_report(obj):

@@ -113,6 +113,11 @@ def test_closure_accepts_generators():
     s = spaces.chain(3)
     assert s.up_closure(p for p in ["0"]) == frozenset({"0", "1", "2"})
     assert s.down_closure(p for p in ["1"]) == frozenset({"0", "1"})
+    assert closure_ops(s, (p for p in ["0", "1"])).closure == frozenset({"0", "1", "2"})
+    sub = induced_space("subspace", s, (p for p in ["0", "2"])).space
+    assert sub.points == ("0", "2") and sub.leq("0", "2")
+    built = build_space(["a", "b"], order=(pair for pair in [("a", "b")]))
+    assert built.leq("a", "b")
 
 
 def test_down_up_closed():
@@ -186,7 +191,7 @@ def test_above_lists_each_up_set_in_point_order_and_leaves_the_value_alone():
     universe += [s for n in range(5) for s in enumerate_labeled_posets(n)]
     assert any(not s.is_t0() for s in universe)
     for space in universe:
-        twin = FiniteSpace(space.points, space.le, space.provenance, space.name)
+        twin = FiniteSpace(space.points, space.up_masks, space.provenance, space.name)
         before = hash(space), repr(space)
         above = space.above
         assert list(above) == list(space.points)

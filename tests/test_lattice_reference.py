@@ -32,7 +32,7 @@ from laxtop.errors import (
     NotACompleteLattice,
     NotT0,
 )
-from laxtop.finspace import FiniteSpace, subsets
+from laxtop.finspace import build_space, subsets
 from laxtop.order import DistributivityReport, HeytingReport, LatticeReport
 
 STRAY = "zz"  # a label outside every space
@@ -174,7 +174,7 @@ def reference_is_codirected(space, subset):
 
 
 def reference_dual(space):
-    return FiniteSpace(space.points, frozenset((y, x) for (x, y) in space.le))
+    return build_space(space.points, order=[(y, x) for (x, y) in space.le])
 
 
 def reference_way_above_pairs(space, ops):

@@ -26,6 +26,7 @@ from laxtop.finspace import (
     CMap,
     FiniteSpace,
     _monotone_tables,
+    build_space,
     cmap,
     enumerate_cmaps,
     is_continuous,
@@ -40,7 +41,7 @@ from laxtop.harness import (
 )
 
 PREORDERS = [s for n in range(4) for s in enumerate_labeled_preorders(n)]
-REVERSED = [FiniteSpace(s.points[::-1], s.le) for s in PREORDERS]  # points out of label order
+REVERSED = [build_space(s.points[::-1], order=s.le) for s in PREORDERS]  # points out of label order
 POSETS = list(enumerate_labeled_posets(4))
 STRAY = "zz"  # a label outside every space
 

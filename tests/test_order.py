@@ -1,7 +1,7 @@
 import pytest
 
 from laxtop import descent, finspace, order, spaces
-from laxtop.errors import MeetsMissing, NotACompleteLattice, NotT0
+from laxtop.errors import MeetsMissing, NotACompleteLattice, NotAPartialOrder, NotT0
 from laxtop.finspace import build_space
 from laxtop.order import (
     distributivity_report,
@@ -111,11 +111,12 @@ def test_distributivity_div12():
 
 def test_three_topologies_coincide_finitely():
     s = spaces.diamond()
-    strict = [(x, y) for (x, y) in s.le if x != y]
-    lower = order_to_space(s.points, strict, "lower")
-    scott = order_to_space(s.points, strict, "scott")
-    alex = order_to_space(s.points, strict, "alexandroff")
+    lower = order_to_space(s, "lower")
+    scott = order_to_space(s, "scott")
+    alex = order_to_space(s, "alexandroff")
     assert set(lower.open_sets()) == set(scott.open_sets()) == set(alex.open_sets())
+    with pytest.raises(NotAPartialOrder):
+        order_to_space(build_space(["a", "b"], order=[("a", "b"), ("b", "a")]), "lower")
 
 
 def test_require_meets():

@@ -12,6 +12,7 @@ target positions read as labels), visit the same nodes and charge the
 budget the same amounts.
 """
 
+import dataclasses
 import itertools
 
 from laxtop import finspace
@@ -23,6 +24,7 @@ from laxtop.finspace import (
     _down_sets,
     _monotone_tables,
     _transitive_reflexive_closure,
+    build_space,
     cmap,
     subsets,
 )
@@ -107,7 +109,7 @@ def reference_t0_report(space):
         rep[x] = min(cls)
     classes = sorted(set(rep.values()))
     le = frozenset((a, b) for a in classes for b in classes if space.leq(a, b))
-    reflection = FiniteSpace(tuple(classes), le, provenance="order")
+    reflection = build_space(tuple(classes), order=le)
     return T0Report(reference_is_t0(space), reflection, cmap(space, reflection, rep))
 
 
@@ -178,16 +180,22 @@ def test_point_queries_match_the_label_pair_code():
 
 
 def test_index_is_lazy_and_takes_no_part_in_the_value():
+    lazy = ("index", "down_masks", "le")
     for s in UNIVERSE:
-        twin = FiniteSpace(s.points, s.le, s.provenance, s.name)
-        index, up, down = s.index, s.up_masks, s.down_masks
+        twin = FiniteSpace(s.points, s.up_masks, s.provenance, s.name)
+        index, up, down, le = s.index, s.up_masks, s.down_masks, s.le
         assert index == {p: i for i, p in enumerate(s.points)}
         for i, x in enumerate(s.points):
             for j, y in enumerate(s.points):
                 assert (up[i] >> j & 1, down[j] >> i & 1) == (s.leq(x, y),) * 2
-        assert s.index is index and s.up_masks is up  # built once
-        assert "index" not in vars(twin) and "up_masks" not in vars(twin)
+                assert ((x, y) in le) == s.leq(x, y)
+        assert (s.index, s.down_masks, s.le) == (index, down, le)
+        assert s.index is index and s.down_masks is down and s.le is le  # built once
+        assert not any(name in vars(twin) for name in lazy)
         assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+    assert [f.name for f in dataclasses.fields(FiniteSpace)] == [
+        "points", "up_masks", "provenance", "name"
+    ]
 
 
 def test_down_sets_and_t0_reflection_match_the_label_pair_code():
@@ -201,12 +209,11 @@ def test_closure_matches_the_pair_fixpoint():
         points = tuple(f"p{i}" for i in range(n))
         pairs = list(itertools.product(points, repeat=2))
         for chosen in subsets(pairs):
-            assert _transitive_reflexive_closure(points, chosen) == reference_closure(
-                points, chosen
-            )
+            rows = _transitive_reflexive_closure(points, chosen)
+            assert FiniteSpace(points, rows).le == reference_closure(points, chosen)
     for s in POSETS:  # rebuilt from the strict pairs
         strict = [(x, y) for (x, y) in s.le if x != y]
-        assert _transitive_reflexive_closure(s.points, strict) == s.le
+        assert _transitive_reflexive_closure(s.points, strict) == s.up_masks
 
 
 class _Recorded(Budget):

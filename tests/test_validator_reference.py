@@ -1,13 +1,17 @@
 """``FiniteSpace`` validation against the label-pair validator it replaced.
 
-Both run in one process on the same frozenset, so they see the pairs in the
-same iteration order and must agree on the error class and message.
+The space is given each relation as order rows; the reference reads the same
+relation as label pairs in point order (pairs of the first point first, and
+each point's pairs in point order).  Both must agree on the error class and
+message.
 """
 
 import itertools
 
+import pytest
+
 from laxtop.errors import DuplicatePoint, NotATopology, UnknownLabel
-from laxtop.finspace import FiniteSpace
+from laxtop.finspace import FiniteSpace, build_space
 
 
 def reference_validate(points, le):
@@ -36,6 +40,15 @@ def _outcome(check, points, le):
     return None
 
 
+def _rows(points, le):
+    return tuple(sum(1 << j for j, y in enumerate(points) if (x, y) in le) for x in points)
+
+
+def _in_point_order(points, le):
+    """The pairs as an ordered set: a dict iterates in insertion order."""
+    return dict.fromkeys((x, y) for x in points for y in points if (x, y) in le)
+
+
 def _relations(points):
     pairs = list(itertools.product(points, repeat=2))
     for mask in range(1 << len(pairs)):
@@ -46,8 +59,8 @@ def test_validator_matches_the_reference_on_every_relation():
     seen = set()
     for points in (("a", "b", "c"), ("c", "a", "b", "d")):
         for le in _relations(points):
-            want = _outcome(reference_validate, points, le)
-            assert _outcome(FiniteSpace, points, le) == want
+            want = _outcome(reference_validate, points, _in_point_order(points, le))
+            assert _outcome(FiniteSpace, points, _rows(points, le)) == want
             seen.add(want[0] if want else None)
     assert seen == {None, NotATopology}
 
@@ -63,7 +76,23 @@ def test_validator_matches_the_reference_on_bad_labels():
         ((0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 2)})),
         ((0, 1, 2), frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})),
     ]
-    for points, le in cases:
+    for points, le in cases:  # no message here depends on the order of the pairs
         want = _outcome(reference_validate, points, le)
         assert want is not None
-        assert _outcome(FiniteSpace, points, le) == want
+        if want[0] is UnknownLabel:  # rows cannot name a label outside the points
+            with pytest.raises(UnknownLabel):
+                build_space(points, order=le)
+        else:
+            assert _outcome(FiniteSpace, points, _rows(points, le)) == want
+
+
+def test_rows_that_do_not_fit_the_points_raise_unknown_label():
+    for points, rows in [
+        (("a", "b"), (1, 2, 4)),
+        (("a", "b"), (1,)),
+        (("a", "b"), (1, 6)),
+        ((), (1,)),
+        (("a",), (-1,)),
+    ]:
+        with pytest.raises(UnknownLabel):
+            FiniteSpace(points, rows)
