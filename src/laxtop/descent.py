@@ -114,23 +114,24 @@ def _scp_meet_compat(base: FiniteSpace) -> bool:
 
 
 def _pair_lifts(f: CMap):
-    """For each pair b' <= b, the lifted pairs a' <= a over it."""
-    src, tgt, image = f.source, f.target, f.image
-    out = {(b1, b): [] for b1, up in tgt.above.items() for b in up}
-    for a1, up in src.above.items():
-        for a in up:  # a monotone f sends (a1, a) to a key of out
-            out[(image[a1], image[a])].append((a1, a))
-    return out
+    """For each pair of target positions j' <= j, in target point order, the
+    mask of the source positions over j' below some point over j.  Only these
+    lower ends a' of the lifted pairs a' <= a are kept: every caller tests a
+    pair against an up-closed set of source points, which holds a if it holds a'.
+    """
+    fibre, below = [0] * len(f.target.points), [0] * len(f.target.points)
+    for a, (j, down) in enumerate(zip(f.positions, f.source.down_masks)):
+        fibre[j] |= 1 << a
+        below[j] |= down  # the source points below a point over j
+    return {(j1, j): fibre[j1] & below[j] for j1, j in f.target.position_pairs}
 
 
 def top_descent_check(f: CMap) -> DescentReport:
     """Descent in Top: every comparable pair downstairs lifts upstairs."""
-    lifts = _pair_lifts(f)
-    for (b1, b), pairs in lifts.items():
-        if not pairs:
-            return DescentReport(
-                "top", False, None, witnesses=(("pair", (b1, b)),)
-            )
+    for (j1, j), lifted in _pair_lifts(f).items():
+        if not lifted:
+            pts = f.target.points
+            return DescentReport("top", False, None, witnesses=(("pair", (pts[j1], pts[j])),))
     return DescentReport("top", True, None)
 
 
@@ -142,11 +143,8 @@ def top_effective_descent_check(f: CMap) -> DescentReport:
     """
     descent = top_descent_check(f)
     image, src_up, tgt_up = f.positions, f.source.up_masks, f.target.up_masks
-    bits = [1 << j for j in image]
+    bits, fibre = [1 << j for j in image], f.fibres
     reach = [_union(bits, up) for up in src_up]  # the image of each source up-set
-    fibre = [0] * len(tgt_up)
-    for a, b in enumerate(image):
-        fibre[b] |= 1 << a
     for b0, row in enumerate(tgt_up):
         above = _union(src_up, fibre[b0])  # every source point above a point over b0
         for b1, b1_up in enumerate(tgt_up):
@@ -174,12 +172,12 @@ class ConditionVerdict:
 
 
 def _lift_value_sets(f: LaxMorphism):
-    """Map each pair b' <= b to the sorted set of source values over it."""
-    lifts = _pair_lifts(f.underlying)
-    src = f.source
+    """Map each pair b' <= b to the set of source values at the lower ends over it."""
+    pts, base = f.target.space.points, f.source.base
+    bits = [1 << x for x in f.source.alpha.positions]
     return {
-        key: frozenset(src.value(a1) for (a1, _) in pairs)
-        for key, pairs in lifts.items()
+        (pts[j1], pts[j]): frozenset(base.points_at(_union(bits, lifted)))
+        for (j1, j), lifted in _pair_lifts(f.underlying).items()
     }
 
 
@@ -345,21 +343,18 @@ def cd_filtration_descent_check(f: LaxMorphism) -> DescentReport:
     src, tgt = f.source, f.target
     top_eff = top_effective_descent_check(f.underlying)
     if top_eff.is_effective:
-        lifts = _pair_lifts(f.underlying)
-        below = {u: [v for (v, w) in dist.totally_below_table if w == u] for u in base.points}
-        level = {u: [b for b in tgt.space.points if base.leq(u, tgt.value(b))] for u in base.points}
+        pts, up, beta = base.points, base.up_masks, tgt.alpha.positions
+        lifts = _pair_lifts(f.underlying).items()
+        level = [_union(src.alpha.fibres, row) for row in up]  # the points with value >= v
+        below = [[base.index[v] for (v, w) in dist.totally_below_table if w == u] for u in pts]
         witness = next(
             (
-                (u, v, b1, b)
-                for u in base.points
-                for b1 in level[u]
-                for b in level[u]
-                if tgt.space.leq(b1, b)
+                (pts[u], pts[v], tgt.space.points[j1], tgt.space.points[j])
+                for u in range(len(pts))
+                for (j1, j), lifted in lifts
+                if up[u] >> beta[j1] & 1  # so b is in the level too: beta is monotone
                 for v in below[u]
-                if not any(
-                    base.leq(v, src.value(a1)) and base.leq(v, src.value(a))
-                    for (a1, a) in lifts[(b1, b)]
-                )
+                if not lifted & level[v]
             ),
             None,
         )

@@ -40,7 +40,8 @@ class FiniteSpace:
     The label views are built on first use and are not fields: equality,
     hashing and repr ignore them, and a space that is never asked for them
     stores none of them.  ``index`` maps each point to its position, bit j
-    of ``down_masks[i]`` is set iff points[j] <= points[i], and ``le``
+    of ``down_masks[i]`` is set iff points[j] <= points[i], ``position_pairs``
+    lists the (i, j) with points[i] <= points[j] row by row, and ``le``
     contains the pair (x, y) exactly when x <= y.
     """
 
@@ -85,15 +86,13 @@ class FiniteSpace:
         for j in range(len(self.points))
     ))
 
-    @cached_property
-    def le(self) -> frozenset:
-        pts, pairs = self.points, []
-        for x, row in zip(pts, self.up_masks):
-            while row:
-                low = row & -row
-                pairs.append((x, pts[low.bit_length() - 1]))
-                row ^= low
-        return frozenset(pairs)
+    position_pairs = cached_property(lambda self: tuple(
+        (i, j) for i, row in enumerate(self.up_masks)
+        for j in range(row.bit_length()) if row >> j & 1
+    ))
+    le = cached_property(lambda self: frozenset(
+        (self.points[i], self.points[j]) for i, j in self.position_pairs
+    ))
 
     def points_at(self, mask: int) -> tuple:
         """The points whose bits are set in mask, in point order."""
@@ -221,7 +220,8 @@ class CMap:
     point order, so the value is hashable and two equal maps compare equal.
     The label tables are built on first use and are not fields: ``table``
     lists the (point, image) pairs in source point order, and ``image`` is
-    the same as a dict, so that a call is one lookup.
+    the same as a dict, so that a call is one lookup.  ``fibres``, built
+    the same way, has bit a of entry j set when source position a maps to j.
     """
 
     source: FiniteSpace
@@ -234,6 +234,13 @@ class CMap:
         return {p: values[j] for p, j in zip(self.source.points, self.positions)}
 
     table = cached_property(lambda self: tuple(self.image.items()))
+
+    @cached_property
+    def fibres(self) -> tuple:
+        out = [0] * len(self.target.points)
+        for a, j in enumerate(self.positions):
+            out[j] |= 1 << a
+        return tuple(out)
 
     def __call__(self, x):
         try:

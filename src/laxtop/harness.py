@@ -661,17 +661,7 @@ def _lifted_positions(f, lifts):
     target point, and lifted lists, for each pair b' <= b in the order of
     lifts, the position of b' with the lower ends of the pairs over it.
     """
-    position, target = f.source.index, f.target.index
-    fibres = [0] * len(target)
-    for k, j in enumerate(f.positions):
-        fibres[j] |= 1 << k
-    lifted = []
-    for (b1, _), pairs in lifts.items():
-        over = 0
-        for (a1, _) in pairs:
-            over |= 1 << position[a1]
-        lifted.append((target[b1], over))
-    return fibres, lifted
+    return list(f.fibres), [(j1, lower) for (j1, _), lower in lifts.items()]
 
 
 def allw_join_coherence(base, carriers):
@@ -725,15 +715,12 @@ def suite_allw_join_coherence(cfg):
 
 def closed_part_lifting(alpha, beta, lifts):
     """Over S, every pair b' <= b of beta's closed part lifts to a pair of
-    alpha's closed part, the closed part being the points with value 1."""
-    a0 = [a for a in alpha.source.points if alpha(a) == "1"]
-    b0 = [b for b in beta.source.points if beta(b) == "1"]
-    return all(
-        any(a1 in a0 and a in a0 for (a1, a) in lifts[(b1, b)])
-        for b1 in b0
-        for b in b0
-        if beta.source.leq(b1, b)
-    )
+    alpha's closed part, the closed part being the points with value 1.
+    Both closed parts are up-closed (1 is the top), so b' and a lower end decide.
+    """
+    top = alpha.target.index["1"]
+    closed = alpha.fibres[top]
+    return all(lower & closed for (j1, _), lower in lifts.items() if beta.positions[j1] == top)
 
 
 def sierpinski_specialization(carriers):

@@ -27,6 +27,7 @@ from .errors import (
 from .finspace import (
     CMap,
     FiniteSpace,
+    _monotone_tables,
     cmap,
     enumerate_cmaps,
     induced_space,
@@ -73,15 +74,21 @@ class LaxMorphism:
     target: LaxObject
 
 
+def _lax_failure(alpha, beta, image, up):
+    """The first position a with alpha[a] not below beta[image[a]] in the
+    base whose rows are up, or None; alpha, beta and image hold positions."""
+    for a, (x, j) in enumerate(zip(alpha, image)):
+        if not up[x] >> beta[j] & 1:
+            return a
+    return None
+
+
 def is_lax_morphism(f: CMap, src: LaxObject, tgt: LaxObject):
     """Check the lax triangle alpha <= beta . f; returns (ok, witness point)."""
     if src.base != tgt.base:
         raise BaseMismatch("objects live over different bases")
-    base = src.base
-    for a in src.space.points:
-        if not base.leq(src.value(a), tgt.value(f(a))):
-            return False, a
-    return True, None
+    a = _lax_failure(src.alpha.positions, tgt.alpha.positions, f.positions, src.base.up_masks)
+    return (True, None) if a is None else (False, src.space.points[a])
 
 
 def lax_morphism(f: CMap, src: LaxObject, tgt: LaxObject) -> LaxMorphism:
@@ -93,12 +100,12 @@ def lax_morphism(f: CMap, src: LaxObject, tgt: LaxObject) -> LaxMorphism:
 
 def lax_hom(src: LaxObject, tgt: LaxObject):
     """All lax morphisms src -> tgt, in the deterministic map order."""
-    out = []
-    for f in enumerate_cmaps(src.space, tgt.space):
-        ok, _ = is_lax_morphism(f, src, tgt)
-        if ok:
-            out.append(LaxMorphism(f, src, tgt))
-    return out
+    tables = _monotone_tables(src.space, tgt.space)
+    if tables and src.base != tgt.base:  # an empty hom-set has no map to test
+        raise BaseMismatch("objects live over different bases")
+    alpha, beta, up = src.alpha.positions, tgt.alpha.positions, src.base.up_masks
+    homs = [t for t in tables if _lax_failure(alpha, beta, t, up) is None]
+    return [LaxMorphism(CMap(src.space, tgt.space, t), src, tgt) for t in homs]
 
 
 def _common_base(objects):
@@ -120,12 +127,9 @@ def lax_sum(objects, base=None) -> LaxSum:
     common = _common_base(objects) or base
     if common is None:
         raise BaseMismatch("empty sum needs an explicit base")
-    total = sum_space([o.space for o in objects])
-    alpha = {}
-    for i, o in enumerate(objects):
-        for p in o.space.points:
-            alpha[f"in{i}:{p}"] = o.value(p)
-    obj = lax_object(total.space, common, alpha)
+    total = sum_space([o.space for o in objects])  # the summands' points, in order
+    alpha = CMap(total.space, common, sum((o.alpha.positions for o in objects), ()))
+    obj = LaxObject(total.space, alpha)
     injections = tuple(
         LaxMorphism(inj, o, obj) for inj, o in zip(total.maps, objects)
     )
@@ -145,7 +149,7 @@ def lax_equalizer(f: LaxMorphism, g: LaxMorphism) -> LaxEqualizer:
     src = f.source
     agree = [a for a in src.space.points if f.underlying(a) == g.underlying(a)]
     sub = induced_space("subspace", src.space, agree)
-    obj = lax_object(sub.space, src.base, {a: src.value(a) for a in agree})
+    obj = LaxObject(sub.space, src.alpha.compose(sub.canonical))
     return LaxEqualizer(obj, LaxMorphism(sub.canonical, obj, src))
 
 
@@ -288,7 +292,13 @@ def initial_lift(space: FiniteSpace, cone) -> LaxObject:
     return initial_lift_over(space, cone, next(iter(bases)))
 
 
+def _check_cone(space: FiniteSpace, cone, base: FiniteSpace):
+    if any(o.base != base or m.source != space or m.target != o.space for m, o in cone):
+        raise BaseMismatch("a cone leg must map the apex into an object over the base")
+
+
 def initial_lift_over(space: FiniteSpace, cone, base: FiniteSpace) -> LaxObject:
+    _check_cone(space, cone, base)
     ops = lattice_ops(base)  # raises NotACompleteLattice
     table = {
         x: ops.meet_of(o.value(m(x)) for (m, o) in cone) for x in space.points
@@ -532,94 +542,90 @@ def lax_objects_over(base: FiniteSpace, carriers) -> tuple:
 def verify_product(objects, product: LaxProduct) -> OracleResult:
     """Every lax cone factors through the product by exactly one lax morphism."""
     objects = list(objects)
-    base = product.obj.base
+    obj = product.obj
+    up, gamma = obj.base.up_masks, obj.alpha.positions
+    projections = [p.underlying.positions for p in product.projections]
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in lax_objects_over(base, _TEST_SPACES):
+    for cand in lax_objects_over(obj.base, _TEST_SPACES):
+        alpha = cand.alpha.positions
         legs = [lax_hom(cand, o) for o in objects]
         for cone in itertools.product(*legs):
             checked += 1
-            mediators = []
-            for m in enumerate_cmaps(cand.space, product.obj.space):
+            mediators, want = 0, [leg.underlying.positions for leg in cone]
+            for m in _monotone_tables(cand.space, obj.space):
                 budget.spend()
-                if any(
-                    proj.underlying.compose(m) != leg.underlying
-                    for proj, leg in zip(product.projections, cone)
-                ):
-                    continue
-                ok, _ = is_lax_morphism(m, cand, product.obj)
-                if ok:
-                    mediators.append(m)
-            if len(mediators) != 1:
-                return OracleResult(False, (cand, cone, len(mediators)), checked)
+                if [tuple(p[j] for j in m) for p in projections] == want:
+                    mediators += _lax_failure(alpha, gamma, m, up) is None
+            if mediators != 1:
+                return OracleResult(False, (cand, cone, mediators), checked)
     return OracleResult(True, None, checked)
 
 
 def verify_coequalizer(f: LaxMorphism, g: LaxMorphism, coeq: LaxCoequalizer) -> OracleResult:
     """Every coequalizing lax cocone factors uniquely through the quotient."""
-    base = coeq.obj.base
+    obj = coeq.obj
+    up, gamma = obj.base.up_masks, obj.alpha.positions
+    q = coeq.quotient.underlying.positions
+    pairs = list(zip(f.underlying.positions, g.underlying.positions))
     budget = Budget("oracle candidate")
     checked = 0
-    q = coeq.quotient.underlying
-    for cand in lax_objects_over(base, _TEST_SPACES):
+    for cand in lax_objects_over(obj.base, _TEST_SPACES):
         for h in lax_hom(f.target, cand):
-            hu = h.underlying
-            if any(
-                hu(f.underlying(a)) != hu(g.underlying(a))
-                for a in f.source.space.points
-            ):
+            hu = h.underlying.positions
+            if any(hu[i] != hu[j] for i, j in pairs):
                 continue
             checked += 1
-            factorizations = []
-            for u in enumerate_cmaps(coeq.obj.space, cand.space):
+            factorizations = 0
+            for u in _monotone_tables(obj.space, cand.space):
                 budget.spend()
-                if u.compose(q) != hu:
-                    continue
-                ok, _ = is_lax_morphism(u, coeq.obj, cand)
-                if ok:
-                    factorizations.append(u)
-            if len(factorizations) != 1:
-                return OracleResult(False, (cand, hu, len(factorizations)), checked)
+                if tuple(u[j] for j in q) == hu:
+                    factorizations += _lax_failure(gamma, cand.alpha.positions, u, up) is None
+            if factorizations != 1:
+                return OracleResult(False, (cand, h.underlying, factorizations), checked)
     return OracleResult(True, None, checked)
 
 
 def verify_exponential(a_obj: LaxObject, b_obj: LaxObject, expo: Exponential) -> OracleResult:
     """The mate correspondence is a bijection of hom-sets, both directions."""
-    base = a_obj.base
+    funcs = dict(expo.functions)
+    by_point = [funcs[p].positions for p in expo.obj.space.points]  # read by label
     budget = Budget("oracle candidate")
     checked = 0
-    for cand in lax_objects_over(base, _TEST_SPACES):
+    for cand in lax_objects_over(a_obj.base, _TEST_SPACES):
         prod = lax_product([a_obj, cand])
-        direct = {m.underlying.table for m in lax_hom(prod.obj, b_obj)}
+        direct = {m.underlying.positions for m in lax_hom(prod.obj, b_obj)}
         budget.spend(len(direct))
+        coords = list(zip(*(p.underlying.positions for p in prod.projections)))
         mates = set()
         for m in lax_hom(cand, expo.obj):
-            budget.spend()
-            table = transpose_to_product(m.underlying, a_obj, expo)
-            mates.add(tuple((p, table[p]) for p in prod.obj.space.points))
+            budget.spend()  # the mate of m takes (a, c) to m(c)(a)
+            mates.add(tuple(by_point[m.underlying.positions[c]][a] for a, c in coords))
         checked += 1
         if mates != direct:
-            return OracleResult(
-                False, (cand, sorted(mates ^ direct)), checked
-            )
+            pts, values = prod.obj.space.points, b_obj.space.points
+            tables = [tuple(zip(pts, (values[j] for j in t))) for t in mates ^ direct]
+            return OracleResult(False, (cand, sorted(tables)), checked)
     return OracleResult(True, None, checked)
 
 
 def verify_initial_lift(space: FiniteSpace, cone, lift: LaxObject) -> OracleResult:
     """h into the lift is lax exactly when all its cone composites are lax."""
     base = lift.base
+    _check_cone(space, cone, base)
+    up, lifted = base.up_masks, lift.alpha.positions
+    composed = [[o.alpha.positions[j] for j in m.positions] for (m, o) in cone]  # β·m per leg
     budget = Budget("oracle candidate")
     checked = 0
     for cand in lax_objects_over(base, _TEST_SPACES):
-        for h in enumerate_cmaps(cand.space, space):
+        alpha = cand.alpha.positions
+        for h in _monotone_tables(cand.space, space):
             budget.spend()
             checked += 1
-            into_lift, _ = is_lax_morphism(h, cand, lift)
-            through_cone = all(
-                is_lax_morphism(m.compose(h), cand, o)[0] for (m, o) in cone
-            )
+            into_lift = _lax_failure(alpha, lifted, h, up) is None
+            through_cone = all(_lax_failure(alpha, values, h, up) is None for values in composed)
             if into_lift != through_cone:
-                return OracleResult(False, (cand, h), checked)
+                return OracleResult(False, (cand, CMap(cand.space, space, h)), checked)
     return OracleResult(True, None, checked)
 
 

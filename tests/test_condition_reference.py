@@ -6,7 +6,9 @@ the witness recovery of the convergence check, the two lax-comma verdicts
 with their own preambles, the filtration search with its break ladder, the
 sufficient-only exponentiability report with its implication search, and
 the four subset generators.  Each merged path must give the same verdicts
-and witnesses on an exhaustive universe.
+and witnesses on an exhaustive universe.  The references read their lifted
+pairs from the label-coded ``reference_pair_lifts``, not from the code
+under test.
 """
 
 import itertools
@@ -20,8 +22,6 @@ from laxtop.descent import (
     DescentReport,
     _all_w_ok,
     _join_condition,
-    _lift_value_sets,
-    _pair_lifts,
     cd_filtration_descent_check,
     convergence_descent_check,
     frame_effective_descent_check,
@@ -54,6 +54,7 @@ from laxtop.laxcomma import (
     lax_hom,
 )
 from laxtop.order import distributivity_report, heyting_report, lattice_ops, lattice_report
+from test_descent_reference import reference_pair_lifts
 
 
 def reference_fam_descent_check(f):
@@ -81,7 +82,10 @@ def reference_convergence_descent_check(f):
         raise NotALattice("the all-w condition needs a complete lattice base")
     ops = lattice_ops(base)
     tgt = f.target
-    value_sets = _lift_value_sets(f)
+    value_sets = {
+        key: frozenset(f.source.value(a1) for (a1, _) in pairs)
+        for key, pairs in reference_pair_lifts(f.underlying).items()
+    }
     for b1 in tgt.space.points:
         for b in tgt.space.points:
             if not tgt.space.leq(b1, b):
@@ -192,7 +196,7 @@ def reference_cd_filtration_descent_check(f):
     top_eff = top_effective_descent_check(f.underlying)
     witness = None
     if top_eff.is_effective:
-        lifts = _pair_lifts(f.underlying)
+        lifts = reference_pair_lifts(f.underlying)
         for u in base.points:
             below = [v for (v, uu) in totally_below if uu == u]
             b_level = [b for b in tgt.space.points if base.leq(u, tgt.value(b))]

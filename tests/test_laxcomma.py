@@ -16,6 +16,7 @@ from laxtop.laxcomma import (
     exponentiability_report,
     exponential_object,
     initial_lift,
+    initial_lift_over,
     is_chain,
     is_lax_morphism,
     lan_extension,
@@ -28,6 +29,7 @@ from laxtop.laxcomma import (
     lax_pullback,
     lax_sum,
     transpose_to_product,
+    verify_initial_lift,
     verify_universal_property,
 )
 from laxtop.order import heyting_report, lattice_ops, lattice_report
@@ -152,6 +154,20 @@ def test_initial_lift_of_projection_cone_is_product():
         "initial_lift", {"space": prod.obj.space, "cone": cone, "lift": lift}
     )
     assert res.ok
+
+
+def test_initial_lift_over_refuses_legs_that_do_not_fit_the_cone():
+    # over C3 the labels miss S's meets; over C2 they coincide with S's labels
+    for other in (C3, spaces.chain(2)):
+        leg = (cmap(PT, PT, {"*": "*"}), obj(PT, other, {"*": "1"}))
+        with pytest.raises(BaseMismatch, match="over the base"):
+            initial_lift_over(PT, [leg], spaces.sierpinski())
+        with pytest.raises(BaseMismatch, match="over the base"):
+            verify_initial_lift(PT, [leg], obj(PT, spaces.sierpinski(), {"*": "1"}))
+    two = spaces.antichain(2)
+    off_apex = (cmap(two, PT, {"0": "*", "1": "*"}), obj(PT, C3, {"*": "1"}))
+    with pytest.raises(BaseMismatch, match="map the apex"):
+        initial_lift_over(PT, [off_apex], C3)
 
 
 def test_exponential_structure_is_implication_meet():
