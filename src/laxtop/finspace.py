@@ -85,14 +85,20 @@ class FiniteSpace:
         sum(1 << i for i, row in enumerate(self.up_masks) if row >> j & 1)
         for j in range(len(self.points))
     ))
-
     position_pairs = cached_property(lambda self: tuple(
         (i, j) for i, row in enumerate(self.up_masks)
         for j in range(row.bit_length()) if row >> j & 1
     ))
-    le = cached_property(lambda self: frozenset(
-        (self.points[i], self.points[j]) for i, j in self.position_pairs
-    ))
+
+    @cached_property
+    def le(self) -> frozenset:
+        pts, pairs = self.points, []
+        for x, row in zip(pts, self.up_masks):
+            while row:
+                low = row & -row
+                pairs.append((x, pts[low.bit_length() - 1]))
+                row ^= low
+        return frozenset(pairs)
 
     def points_at(self, mask: int) -> tuple:
         """The points whose bits are set in mask, in point order."""
@@ -102,11 +108,6 @@ class FiniteSpace:
         """The bits of the labels in subset; labels outside the space are ignored."""
         index = self.index
         return sum({1 << index[x] for x in subset if x in index})  # distinct bits
-
-    @cached_property
-    def above(self) -> dict:
-        """Each point's up-set as a tuple in point order."""
-        return {x: self.points_at(up) for x, up in zip(self.points, self.up_masks)}
 
     def down(self, x) -> frozenset:
         """Down-set of a point; this is also its minimal open neighbourhood."""

@@ -186,21 +186,23 @@ def test_cmap_lookup_takes_no_part_in_its_value():
     assert len({built, listed}) == 1
 
 
-def test_above_lists_each_up_set_in_point_order_and_leaves_the_value_alone():
+def test_position_pairs_list_each_up_set_in_point_order_and_leave_the_value_alone():
     universe = [s for n in range(4) for s in enumerate_labeled_preorders(n)]
     universe += [s for n in range(5) for s in enumerate_labeled_posets(n)]
     assert any(not s.is_t0() for s in universe)
     for space in universe:
         twin = FiniteSpace(space.points, space.up_masks, space.provenance, space.name)
         before = hash(space), repr(space)
-        above = space.above
-        assert list(above) == list(space.points)
-        for x in space.points:
-            assert list(above[x]) == [y for y in space.points if space.leq(x, y)]
-        assert space.above is above  # built once
+        pairs = space.position_pairs
+        pts = space.points
+        assert [(pts[i], pts[j]) for i, j in pairs] == [
+            (x, y) for x in pts for y in pts if space.leq(x, y)
+        ]
+        assert space.position_pairs is pairs  # built once
         assert (hash(space), repr(space)) == before
         assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
-    assert "above" not in {f.name for f in dataclasses.fields(FiniteSpace)}
+        assert "position_pairs" not in vars(twin)
+    assert "position_pairs" not in {f.name for f in dataclasses.fields(FiniteSpace)}
 
 
 def test_label_parts_keep_their_bytes_unless_they_would_not_read_back():

@@ -171,8 +171,11 @@ def reference_verify_initial_lift(space, cone, lift):
 def reference_pair_lifts(f):
     """The pair-list _pair_lifts: every lifted pair a' <= a, keyed by labels."""
     src, tgt, image = f.source, f.target, f.image
-    out = {(b1, b): [] for b1, up in tgt.above.items() for b in up}
-    for a1, up in src.above.items():
+    above = {  # each up-set in point order, as the deleted FiniteSpace.above listed it
+        x: src.points_at(up) for x, up in zip(src.points, src.up_masks)
+    }
+    out = {(b1, b): [] for b1 in tgt.points for b in tgt.points if tgt.leq(b1, b)}
+    for a1, up in above.items():
         for a in up:  # a monotone f sends (a1, a) to a key of out
             out[(image[a1], image[a])].append((a1, a))
     return out

@@ -167,7 +167,9 @@ def test_the_universe_has_non_t0_spaces_and_every_size():
 
 def test_point_queries_match_the_label_pair_code():
     for s in UNIVERSE:
-        assert s.above == reference_above(s)
+        assert [(s.points[i], s.points[j]) for i, j in s.position_pairs] == [
+            (x, y) for x, up in reference_above(s).items() for y in up
+        ]  # position_pairs took the place of FiniteSpace.above
         assert s.is_t0() == reference_is_t0(s)
         for x in s.points + (STRAY,):
             assert s.down(x) == reference_down(s, x)
