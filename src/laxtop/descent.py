@@ -172,12 +172,13 @@ class ConditionVerdict:
 
 
 def _lift_value_sets(f: LaxMorphism):
-    """Map each pair b' <= b to the set of source values at the lower ends over it."""
-    pts, base = f.target.space.points, f.source.base
+    """Map each pair b' <= b, as target positions in `_pair_lifts` order, to
+    the set of source values at the lower ends over it."""
+    base = f.source.base
     bits = [1 << x for x in f.source.alpha.positions]
     return {
-        (pts[j1], pts[j]): frozenset(base.points_at(_union(bits, lifted)))
-        for (j1, j), lifted in _pair_lifts(f.underlying).items()
+        pair: frozenset(base.points_at(_union(bits, lifted)))
+        for pair, lifted in _pair_lifts(f.underlying).items()
     }
 
 
@@ -197,10 +198,12 @@ def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("the all-w condition needs a complete lattice base")
     ops = lattice_ops(base)
-    for (b1, b), values in _lift_value_sets(f).items():
-        bound = f.target.value(b1)
+    pts, beta = f.target.space.points, f.target.alpha.positions
+    for (j1, j), values in _lift_value_sets(f).items():
+        bound = base.points[beta[j1]]
         if not _all_w_ok(base, bound, values):
-            return ConditionVerdict(False, (b1, b, first_unrecovered(ops, bound, values)))
+            witness = (pts[j1], pts[j], first_unrecovered(ops, bound, values))
+            return ConditionVerdict(False, witness)
     return ConditionVerdict(True, None)
 
 
@@ -231,9 +234,10 @@ def condition_tables(base: FiniteSpace):
 def _join_condition(f: LaxMorphism) -> ConditionVerdict:
     """For each pair b' <= b, the value at b' is the join of lifted values."""
     base = f.source.base
-    for (b1, b), values in _lift_value_sets(f).items():
-        if _join_cached(base, values) != f.target.value(b1):
-            return ConditionVerdict(False, (b1, b))
+    pts, beta = f.target.space.points, f.target.alpha.positions
+    for (j1, j), values in _lift_value_sets(f).items():
+        if _join_cached(base, values) != base.points[beta[j1]]:
+            return ConditionVerdict(False, (pts[j1], pts[j]))
     return ConditionVerdict(True, None)
 
 

@@ -42,6 +42,7 @@ from .order import (
     heyting_report,
     lattice_ops,
     lattice_report,
+    mask_folds,
     require_meets,
 )
 
@@ -397,65 +398,104 @@ class ExponentiabilityReport:
         return self.exponentiable is True
 
 
-def _exchange_routes(obj: LaxObject, ops, gamma: tuple, q: tuple, q_down: tuple) -> tuple:
-    """Both routes of the extension exchange law on one quotient, as base positions.
+class _CollapseQuotients:
+    """The exchange law on the collapse quotients q: C -> 1 of one lax object.
 
-    The source C of gamma and q is discrete: gamma lists the base positions of
-    γ: C -> X, q the positions of q: C -> Q, and q_down the down masks of Q.
-    Returns three tables over A × Q, rows in A's point order: the extension
-    route α(a) ∧ (Lan_q γ)(y), the product route (Lan_{1×q} α∧γ)(a, y), and
-    the pointwise join of α(a) ∧ γ(c) over the c with q(c) <= y.  A Lan is the
-    meet, over the open neighbourhoods of a point, of the join over their
-    fibre; that join grows with the open set, so the meet is the join over
-    the fibre of the smallest one, the point's down mask (down(a) × down(y)
-    in A × Q).  The continuity of the extension on Q, of α∧γ on A × C and of
-    the product route on A × Q is tested on masks.
+    C is discrete and γ: C -> X is the tuple of its base positions.  Over one
+    point each Lan is a join over all of C, so at a point a of A the extension
+    route is α(a) ∧ ⋁γ, the product route the join of α(b) ∧ γ(c) over b <= a
+    and c, and the pointwise route the join of α(a) ∧ γ(c) over c.  Built
+    once: ``met[a][g]`` is α(a) ∧ g, ``lower[a][g]`` the join of ``met[b][g]``
+    over b <= a, and ``not_monotone`` holds the g whose meet column is not
+    monotone.  The joins of γ are one ``join_index`` step per point of A from
+    those of γ without its last value; join is associative, commutative and
+    idempotent, so they are the folds over C.  Distributivity, which the law
+    tests, is never used.
     """
-    base = obj.base
-    meet, join, base_down = ops.meet_index, ops.join_index, base.down_masks
-    a_down = obj.space.down_masks
-    alpha = obj.alpha.positions
 
-    def join_of(values):
-        acc = ops.bottom_index
-        for v in values:
-            acc = join[acc][v]
-        return acc
+    def __init__(self, obj: LaxObject, ops):
+        meet, join, bottom = ops.meet_index, ops.join_index, ops.bottom_index
+        a_down, base_down = obj.space.down_masks, obj.base.down_masks
+        alpha = obj.alpha.positions
+        met = [meet[x] for x in alpha]
+        positions = range(len(obj.base.points))
 
-    fibres = [[c for c, y in enumerate(q) if down >> y & 1] for down in q_down]
-    below = [[b for b in range(len(alpha)) if down >> b & 1] for down in a_down]
-    lan = [join_of(gamma[c] for c in fibre) for fibre in fibres]
-    met = [[meet[x][g] for g in gamma] for x in alpha]
-    product = [
-        [join_of(met[b][c] for b in lower for c in fibre) for fibre in fibres]
-        for lower in below
-    ]
-    if not is_monotone(lan, q_down, base_down):
-        raise NotContinuous("extension along q is not monotone")
-    if not all(is_monotone(column, a_down, base_down) for column in zip(*met)):
-        raise NotContinuous("meet map on A x C is not monotone")  # C is discrete
-    if not (
-        all(is_monotone(row, q_down, base_down) for row in product)
-        and all(is_monotone(column, a_down, base_down) for column in zip(*product))
-    ):
-        raise NotContinuous("product-route extension is not monotone")
-    extension = [[meet[x][v] for v in lan] for x in alpha]
-    pointwise = [[join_of(row[c] for c in fibre) for fibre in fibres] for row in met]
-    return extension, product, pointwise
+        def lower_join(down, g):
+            acc = bottom
+            for b, row in enumerate(met):
+                if down >> b & 1:
+                    acc = join[acc][row[g]]
+            return acc
 
+        self.meet, self.join, self.alpha, self.met = meet, join, alpha, met
+        self.base_down = base_down
+        self.below = [  # the pairs b < a of A
+            (b, a) for a, down in enumerate(a_down) for b in range(len(alpha))
+            if b != a and down >> b & 1
+        ]
+        self.lower = [[lower_join(down, g) for g in positions] for down in a_down]
+        self.not_monotone = frozenset(
+            g for g in positions if not is_monotone([row[g] for row in met], a_down, base_down)
+        )
+        empty = [bottom] * len(alpha)
+        self._routes = {(): (bottom, [meet[x][bottom] for x in alpha], empty, empty)}
 
-def _exchange_law_holds(obj: LaxObject, ops, gamma: tuple, q: tuple, q_down: tuple) -> bool:
-    """Whether the two routes agree, checked point by point in A × Q order."""
-    for rows in zip(*_exchange_routes(obj, ops, gamma, q, q_down)):
-        for ext, prod, pointwise in zip(*rows):
+    def routes(self, gamma: tuple) -> tuple:
+        """⋁γ, then the extension, product and pointwise routes over A's points."""
+        routes = self._routes.get(gamma)
+        if routes is None:
+            lan, _, product, pointwise = self.routes(gamma[:-1])
+            g, join = gamma[-1], self.join
+            lan = join[lan][g]
+            routes = self._routes[gamma] = (
+                lan,
+                [self.meet[x][lan] for x in self.alpha],
+                [join[v][row[g]] for v, row in zip(product, self.lower)],
+                [join[v][row[g]] for v, row in zip(pointwise, self.met)],
+            )
+        return routes
+
+    def law_holds(self, gamma: tuple) -> bool:
+        """Whether the two routes agree, checked point by point in A's order.
+
+        α ∧ γ and the product route must be continuous; over one point the
+        extension and each product row are, whatever their values.
+        """
+        _, extension, product, pointwise = self.routes(gamma)
+        if not self.not_monotone.isdisjoint(gamma):
+            raise NotContinuous("meet map on A x C is not monotone")  # C is discrete
+        down = self.base_down
+        if not all(down[product[a]] >> product[b] & 1 for b, a in self.below):
+            raise NotContinuous("product-route extension is not monotone")
+        if extension == product == pointwise:
+            return True
+        for ext, prod, point in zip(extension, product, pointwise):
             if ext != prod:
                 return False
             # meeting α(a) before or after the inner join agrees (α(a) ∧ Lan is "before")
-            if ext != pointwise:
+            if ext != point:
                 raise InternalInconsistency(
                     "pointwise exchange identity disagrees with the extension route"
                 )
-    return True
+        return True
+
+
+def _join_preservation_failure(obj: LaxObject, ops):
+    """The first point a and subset s of base positions with α(a) ∧ ⋁s other
+    than the join of α(a) ∧ x over x in s, in A's point order and then in
+    `subsets` order, or None.  Both sides are read from subset-mask folds."""
+    meet, join, bottom = ops.meet_index, ops.join_index, ops.bottom_index
+    positions = range(len(obj.base.points))
+    joins = mask_folds(join, bottom, positions)
+    candidates = [(s, sum(1 << i for i in s)) for s in subsets(positions)]
+    first = {}
+    for a, x in enumerate(obj.alpha.positions):
+        if x not in first:
+            met = mask_folds(join, bottom, meet[x])
+            first[x] = next((s for s, m in candidates if meet[x][joins[m]] != met[m]), None)
+        if first[x] is not None:
+            return a, first[x]
+    return None
 
 
 _MAX_QUOTIENT_POINTS = 3  # the collapse quotients cross-checked have at most this many points
@@ -479,37 +519,28 @@ def exponentiability_report(obj: LaxObject) -> ExponentiabilityReport:
         return ExponentiabilityReport(None, "sufficient-only", None, 0)
 
     ops = lattice_ops(base)
-    witness = next(
-        (
-            (a, s)
-            for (a, x) in obj.alpha.table
-            for s in subsets(base.points)
-            if ops.meet(x, ops.join_of(s)) != ops.join_of(ops.meet(x, e) for e in s)
-        ),
-        None,
-    )
-    verdict = witness is None
-
-    point = (1,)  # the down masks of the one point that each collapse quotient maps onto
-    checked = 0
-    if witness is not None:
+    failure = _join_preservation_failure(obj, ops)
+    quotients = _CollapseQuotients(obj, ops)
+    if failure is not None:
         # the targeted collapse quotient must reproduce the failure
-        gamma = tuple(base.index[x] for x in witness[1])
-        checked += 1
-        if _exchange_law_holds(obj, ops, gamma, (0,) * len(gamma), point):
+        a, gamma = failure
+        if quotients.law_holds(gamma):
             raise InternalInconsistency(
                 "join-preservation failure not visible to the exchange law"
             )
-    else:
-        positions = range(len(base.points))
-        for n in range(0, _MAX_QUOTIENT_POINTS + 1):
-            for gamma in itertools.combinations_with_replacement(positions, n):
-                checked += 1
-                if not _exchange_law_holds(obj, ops, gamma, (0,) * n, point):
-                    raise InternalInconsistency(
-                        "exchange law fails although all joins are preserved"
-                    )
-    return ExponentiabilityReport(verdict, "definitive", witness, checked)
+        witness = (obj.space.points[a], tuple(base.points[g] for g in gamma))
+        return ExponentiabilityReport(False, "definitive", witness, 1)
+    checked = 0
+    positions = range(len(base.points))
+    # level by level: each γ extends γ without its last value, one level up
+    for n in range(0, _MAX_QUOTIENT_POINTS + 1):
+        for gamma in itertools.combinations_with_replacement(positions, n):
+            checked += 1
+            if not quotients.law_holds(gamma):
+                raise InternalInconsistency(
+                    "exchange law fails although all joins are preserved"
+                )
+    return ExponentiabilityReport(True, "definitive", None, checked)
 
 
 # -- universal-property oracles --------------------------------------------

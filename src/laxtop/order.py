@@ -330,6 +330,19 @@ def _approximants(rows, bounds, sets) -> list:
     return out
 
 
+def mask_folds(table, unit, values) -> list:
+    """A binary table on positions folded over every subset mask of values.
+
+    Entry s is ``table[values[low]][out[rest]]``, where low is the lowest
+    bit of s and rest the mask of its other bits; the empty mask holds unit.
+    """
+    out = [unit] * (1 << len(values))
+    for s in range(1, len(out)):
+        low, rest = (s & -s).bit_length() - 1, s & (s - 1)
+        out[s] = table[values[low]][out[rest]]
+    return out
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     """Frame/continuity/complete-distributivity verdicts with witnesses."""
@@ -347,14 +360,9 @@ def distributivity_report(space: FiniteSpace) -> DistributivityReport:
     if not is_frame:
         witnesses.append(("implication-missing",) + hey.failure_witness)
 
-    # the meet and join of every subset mask, from those of the mask
-    # without its lowest point
-    every = range(1 << len(pts))
-    meets, joins = [ops.top_index] * len(every), [ops.bottom_index] * len(every)
-    for s in every[1:]:
-        low, rest = (s & -s).bit_length() - 1, s & (s - 1)
-        meets[s] = ops.meet_index[low][meets[rest]]
-        joins[s] = ops.join_index[low][joins[rest]]
+    positions, every = range(len(pts)), range(1 << len(pts))
+    meets = mask_folds(ops.meet_index, ops.top_index, positions)
+    joins = mask_folds(ops.join_index, ops.bottom_index, positions)
     # a finite set is codirected exactly when it holds its meet, and
     # directed exactly when it holds its join
     down, up = space.down_masks, space.up_masks

@@ -2,8 +2,9 @@
 
 The reference functions below are the implementations that were merged
 into one, kept verbatim in behaviour: the all-w loop of family descent and
-the witness recovery of the convergence check, the two lax-comma verdicts
-with their own preambles, the filtration search with its break ladder, the
+the witness recovery of the convergence check, the join condition, which
+read the target's values by label, the two lax-comma verdicts with their
+own preambles, the filtration search with its break ladder, the
 sufficient-only exponentiability report with its implication search, and
 the four subset generators.  Each merged path must give the same verdicts
 and witnesses on an exhaustive universe.  The references read their lifted
@@ -21,7 +22,6 @@ from laxtop.descent import (
     ConditionVerdict,
     DescentReport,
     _all_w_ok,
-    _join_condition,
     cd_filtration_descent_check,
     convergence_descent_check,
     frame_effective_descent_check,
@@ -102,6 +102,15 @@ def reference_convergence_descent_check(f):
     return ConditionVerdict(True, None)
 
 
+def reference_join_condition(f):
+    """For each pair b' <= b, the value at b' is the join of the lifted values."""
+    ops = lattice_ops(f.source.base)
+    for (b1, b), pairs in reference_pair_lifts(f.underlying).items():
+        if ops.join_of(frozenset(f.source.value(a1) for (a1, _) in pairs)) != f.target.value(b1):
+            return ConditionVerdict(False, (b1, b))
+    return ConditionVerdict(True, None)
+
+
 def reference_frame_effective_descent_check(f):
     base = f.source.base
     report = lattice_report(base)
@@ -123,7 +132,7 @@ def reference_frame_effective_descent_check(f):
                    f"all-w condition: {allw.ok}"),
         )
     pre.append("frame")
-    joins = _join_condition(f)
+    joins = reference_join_condition(f)
     effective = bool(top_eff.is_effective) and joins.ok
     witnesses = ()
     if not top_eff.is_effective:

@@ -1,31 +1,132 @@
-"""The exponentiability cross-check on index tables against the code it replaced.
+"""The exponentiability cross-check against the code it replaced.
 
-The reference below is the replaced quotient loop of
-`exponentiability_report` and its `_lan_commutation_holds`, which built each
-collapse quotient, the products A x C and A x Q and every map between them
-as checked spaces and maps with string labels.  The table version must give
+Two references are kept.  `_lan_commutation_holds` and `reference_report`
+are the label-coded quotient loop, which built each collapse quotient, the
+products A x C and A x Q and every map between them as checked spaces and
+maps with string labels.  `_exchange_routes` and `_exchange_law_holds` are
+the per-quotient loop on index tables that followed it, which computed both
+routes from scratch on every quotient; `per_quotient_report` runs it with
+the witness search on label tables.  `exponentiability_report` must give
 the same report (verdict, witness, mode, quotients checked) on every lax
-object with a carrier of at most 2 points over every lattice base of at most
-5 points (N5 and M3 take the witness path) and with a 3-point carrier over
-every lattice base of at most 4 points, and the same three values at each
-point of A x Q on every quotient it checks and on quotients onto posets.
+object with a carrier of at most 2 points over every lattice base of at
+most 5 points (N5 and M3 take the witness path) and with a 3-point carrier
+over every lattice base of at most 4 points, and its one pass over the
+collapse quotients the same three values at each point of A on every
+quotient it checks.  The per-quotient routes must also match the label
+reference on quotients onto posets.  The pass must fail as the
+per-quotient loop does when both are given the same wrong cell of the
+4-point chain's meet or join table, and must raise the pointwise
+inconsistency when only that route disagrees.
 """
 
 import itertools
 
 import pytest
 
-from laxtop.errors import InternalInconsistency, LaxtopError
-from laxtop.finspace import build_space, cmap, product_space, subsets
+from laxtop import laxcomma
+from laxtop.errors import InternalInconsistency, LaxtopError, NotContinuous
+from laxtop.finspace import build_space, cmap, is_monotone, product_space, subsets
 from laxtop.harness import lattice_bases, lax_objects_over, posets_up_to
 from laxtop.laxcomma import (
     ExponentiabilityReport,
-    _exchange_law_holds,
-    _exchange_routes,
+    _CollapseQuotients,
     exponentiability_report,
     lan_extension,
 )
-from laxtop.order import heyting_report, lattice_ops, lattice_report
+from laxtop.order import LatticeOps, heyting_report, lattice_ops, lattice_report
+from laxtop.spaces import chain
+
+
+def _exchange_routes(obj, ops, gamma: tuple, q: tuple, q_down: tuple) -> tuple:
+    """Both routes of the extension exchange law on one quotient, as base positions.
+
+    The source C of gamma and q is discrete: gamma lists the base positions of
+    γ: C -> X, q the positions of q: C -> Q, and q_down the down masks of Q.
+    Returns three tables over A × Q, rows in A's point order: the extension
+    route α(a) ∧ (Lan_q γ)(y), the product route (Lan_{1×q} α∧γ)(a, y), and
+    the pointwise join of α(a) ∧ γ(c) over the c with q(c) <= y.  A Lan is the
+    meet, over the open neighbourhoods of a point, of the join over their
+    fibre; that join grows with the open set, so the meet is the join over
+    the fibre of the smallest one, the point's down mask (down(a) × down(y)
+    in A × Q).  The continuity of the extension on Q, of α∧γ on A × C and of
+    the product route on A × Q is tested on masks.
+    """
+    base = obj.base
+    meet, join, base_down = ops.meet_index, ops.join_index, base.down_masks
+    a_down = obj.space.down_masks
+    alpha = obj.alpha.positions
+
+    def join_of(values):
+        acc = ops.bottom_index
+        for v in values:
+            acc = join[acc][v]
+        return acc
+
+    fibres = [[c for c, y in enumerate(q) if down >> y & 1] for down in q_down]
+    below = [[b for b in range(len(alpha)) if down >> b & 1] for down in a_down]
+    lan = [join_of(gamma[c] for c in fibre) for fibre in fibres]
+    met = [[meet[x][g] for g in gamma] for x in alpha]
+    product = [
+        [join_of(met[b][c] for b in lower for c in fibre) for fibre in fibres]
+        for lower in below
+    ]
+    if not is_monotone(lan, q_down, base_down):
+        raise NotContinuous("extension along q is not monotone")
+    if not all(is_monotone(column, a_down, base_down) for column in zip(*met)):
+        raise NotContinuous("meet map on A x C is not monotone")  # C is discrete
+    if not (
+        all(is_monotone(row, q_down, base_down) for row in product)
+        and all(is_monotone(column, a_down, base_down) for column in zip(*product))
+    ):
+        raise NotContinuous("product-route extension is not monotone")
+    extension = [[meet[x][v] for v in lan] for x in alpha]
+    pointwise = [[join_of(row[c] for c in fibre) for fibre in fibres] for row in met]
+    return extension, product, pointwise
+
+
+def _exchange_law_holds(obj, ops, gamma: tuple, q: tuple, q_down: tuple) -> bool:
+    """Whether the two routes agree, checked point by point in A × Q order."""
+    for rows in zip(*_exchange_routes(obj, ops, gamma, q, q_down)):
+        for ext, prod, pointwise in zip(*rows):
+            if ext != prod:
+                return False
+            # meeting α(a) before or after the inner join agrees (α(a) ∧ Lan is "before")
+            if ext != pointwise:
+                raise InternalInconsistency(
+                    "pointwise exchange identity disagrees with the extension route"
+                )
+    return True
+
+
+def per_quotient_report(obj, ops, visited):
+    """The report of the per-quotient loop, appending each gamma it checks to visited."""
+    base = obj.base
+    witness = next(
+        (
+            (a, s)
+            for (a, x) in obj.alpha.table
+            for s in subsets(base.points)
+            if ops.meet(x, ops.join_of(s)) != ops.join_of(ops.meet(x, e) for e in s)
+        ),
+        None,
+    )
+    point = (1,)  # the down masks of the one point that each collapse quotient maps onto
+    if witness is not None:
+        gamma = tuple(base.index[x] for x in witness[1])
+        visited.append(gamma)
+        if _exchange_law_holds(obj, ops, gamma, (0,) * len(gamma), point):
+            raise InternalInconsistency(
+                "join-preservation failure not visible to the exchange law"
+            )
+        return ExponentiabilityReport(False, "definitive", witness, 1)
+    for n in range(4):
+        for gamma in itertools.combinations_with_replacement(range(len(base.points)), n):
+            visited.append(gamma)
+            if not _exchange_law_holds(obj, ops, gamma, (0,) * n, point):
+                raise InternalInconsistency(
+                    "exchange law fails although all joins are preserved"
+                )
+    return ExponentiabilityReport(True, "definitive", None, len(visited))
 
 
 def _lan_commutation_holds(a_obj, gamma, q):
@@ -157,7 +258,7 @@ def reference_routes(a_obj, gamma, q):
 
 
 def table_routes(obj, gamma, q, quotient):
-    """The table version's three values at each (a, y), as labels, in A x Q order."""
+    """The per-quotient routes' three values at each (a, y), as labels, in A x Q order."""
     pts = obj.base.points
     tables = _exchange_routes(obj, lattice_ops(obj.base), gamma, q, quotient.down_masks)
     return [
@@ -165,6 +266,12 @@ def table_routes(obj, gamma, q, quotient):
         for rows in zip(*tables)
         for values in zip(*rows)
     ]
+
+
+def pass_routes(obj, quotients, gamma):
+    """The one pass's three values at each point of A, as labels, on a collapse quotient."""
+    pts = obj.base.points
+    return [tuple(pts[v] for v in values) for values in zip(*quotients.routes(gamma)[1:])]
 
 
 def outcome(call):
@@ -215,11 +322,12 @@ def test_report_and_routes_match_the_reference(base, carrier_points):
     for obj in lax_objects_over(base, carriers):
         report = exponentiability_report(obj)
         assert report == reference_report(obj)
-        for gamma in collapse_quotients(obj, report):
+        quotients = _CollapseQuotients(obj, lattice_ops(base))
+        for gamma in collapse_quotients(obj, report):  # in the order the report visits them
             q = (0,) * len(gamma)
-            assert table_routes(obj, gamma, q, POINT) == reference_routes(
-                obj, *quotient_maps(obj, gamma, q, POINT)
-            )
+            routes = pass_routes(obj, quotients, gamma)
+            assert routes == table_routes(obj, gamma, q, POINT)
+            assert routes == reference_routes(obj, *quotient_maps(obj, gamma, q, POINT))
 
 
 def test_the_witness_path_is_taken():
@@ -233,13 +341,6 @@ def test_the_witness_path_is_taken():
         )
     ]
     assert len(failing) == 2 and all(len(b.points) == 5 for b in failing)
-
-
-def outcome(call):
-    try:
-        return call()
-    except LaxtopError as exc:
-        return type(exc), str(exc)
 
 
 C3 = lattice_bases(3)[-1]
@@ -271,3 +372,75 @@ def test_routes_match_the_reference_on_quotients_onto_posets(base, quotients):
                             obj, lattice_ops(base), gamma, q, quotient.down_masks
                         )
                     ) == outcome(lambda: _lan_commutation_holds(obj, gamma_map, q_map))
+
+
+def tampered_ops(base, table, cell, value):
+    """Fresh lattice ops on base with one cell of its meet or join table changed.
+
+    The label table is changed before the position table is first built, so
+    both read the same wrong value."""
+    ops = LatticeOps(base)
+    x, y = (base.points[i] for i in cell)
+    labels = dict(getattr(ops, f"_{table}"))
+    labels[x, y] = base.points[value]
+    setattr(ops, f"_{table}", labels)
+    assert getattr(ops, f"{table}_index")[cell[0]][cell[1]] == value
+    return ops
+
+
+@pytest.mark.parametrize(
+    "table,cell,value,failures",
+    [
+        (
+            "join",
+            (2, 2),
+            0,
+            {
+                (InternalInconsistency, "exchange law fails although all joins are preserved"),
+                (NotContinuous, "product-route extension is not monotone"),
+            },
+        ),
+        ("meet", (3, 1), 0, {(NotContinuous, "meet map on A x C is not monotone")}),
+    ],
+    ids=["join-2-2-is-0", "meet-3-1-is-0"],
+)
+def test_the_pass_fails_as_the_per_quotient_loop_on_a_broken_table(
+    monkeypatch, table, cell, value, failures
+):
+    """One cell of the 4-point chain's meet or join table is wrong; both loops
+    must then give the same report or raise the same error at the same quotient."""
+    base = chain(4)
+    ops = tampered_ops(base, table, cell, value)
+    monkeypatch.setattr(laxcomma, "lattice_ops", lambda space: ops)
+    law_holds = _CollapseQuotients.law_holds
+    raised = set()
+    for obj in lax_objects_over(base, posets_up_to(3)):
+        visited, reference_visited = [], []
+
+        def recording(self, gamma, visited=visited):
+            visited.append(gamma)
+            return law_holds(self, gamma)
+
+        monkeypatch.setattr(_CollapseQuotients, "law_holds", recording)
+        got = outcome(lambda: exponentiability_report(obj))
+        monkeypatch.setattr(_CollapseQuotients, "law_holds", law_holds)
+        assert got == outcome(lambda: per_quotient_report(obj, ops, reference_visited))
+        assert visited == reference_visited
+        if isinstance(got, tuple):
+            raised.add(got)
+    assert raised == failures
+
+
+def test_the_pass_raises_when_only_the_pointwise_route_disagrees():
+    """After the tables are built the pointwise route alone reads the meet
+    rows; with every meet read as the bottom, the extension and product
+    routes still agree and the pointwise identity must fail."""
+    base = chain(4)
+    obj = laxcomma.lax_object(POINT, base, {"c0": "3"})
+    quotients = _CollapseQuotients(obj, lattice_ops(base))
+    quotients.met = [[0] * 4]
+    assert quotients.law_holds(())
+    assert outcome(lambda: quotients.law_holds((2,))) == (
+        InternalInconsistency,
+        "pointwise exchange identity disagrees with the extension route",
+    )
