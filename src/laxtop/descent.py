@@ -173,18 +173,15 @@ class ConditionVerdict:
 
 def _lift_value_sets(f: LaxMorphism):
     """Map each pair b' <= b, as target positions in `_pair_lifts` order, to
-    the set of source values at the lower ends over it."""
-    base = f.source.base
+    the mask of the base positions of the source values at the lower ends over it."""
     bits = [1 << x for x in f.source.alpha.positions]
-    return {
-        pair: frozenset(base.points_at(_union(bits, lifted)))
-        for pair, lifted in _pair_lifts(f.underlying).items()
-    }
+    return {pair: _union(bits, lifted) for pair, lifted in _pair_lifts(f.underlying).items()}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _all_w_ok(base: FiniteSpace, bound, values: frozenset) -> bool:
-    """Is every w <= bound recovered as the join of its meets with values?"""
+def _all_w_ok(base: FiniteSpace, bound: int, values: int) -> bool:
+    """Is every w <= the position bound recovered as the join of its meets
+    with the values in the position mask?"""
     return first_unrecovered(lattice_ops(base), bound, values) is None
 
 
@@ -197,38 +194,34 @@ def convergence_descent_check(f: LaxMorphism) -> ConditionVerdict:
     base = f.source.base
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("the all-w condition needs a complete lattice base")
-    ops = lattice_ops(base)
     pts, beta = f.target.space.points, f.target.alpha.positions
     for (j1, j), values in _lift_value_sets(f).items():
-        bound = base.points[beta[j1]]
-        if not _all_w_ok(base, bound, values):
-            witness = (pts[j1], pts[j], first_unrecovered(ops, bound, values))
-            return ConditionVerdict(False, witness)
+        if not _all_w_ok(base, beta[j1], values):
+            w = first_unrecovered(lattice_ops(base), beta[j1], values)
+            return ConditionVerdict(False, (pts[j1], pts[j], base.points[w]))
     return ConditionVerdict(True, None)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _join_cached(base: FiniteSpace, values: frozenset):
-    return lattice_ops(base).join_of(values)
+def _join_cached(base: FiniteSpace, values: int) -> int:
+    """The position of the join of the values in the position mask."""
+    return lattice_ops(base).join_mask(values)
 
 
 def condition_tables(base: FiniteSpace):
     """The all-w and join conditions of a lattice base, read by value mask.
 
-    Bit i of a mask stands for ``base.points[i]``.  Returns ``(allw, join)``:
-    ``allw[i][mask]`` is the all-w condition at the bound ``base.points[i]``
-    over the values in mask, and ``join[mask]`` is their join.  Every cell
+    Bit i of a mask stands for the position i.  Returns ``(allw, join)``:
+    ``allw[i][mask]`` is the all-w condition at the bound i over the values
+    in mask, and ``join[mask]`` is the position of their join.  Every cell
     is filled once through ``_all_w_ok`` and ``_join_cached``.
     """
-    value_sets = [
-        frozenset(base.points_at(mask)) for mask in range(1 << len(base.points))
-    ]
+    masks = range(1 << len(base.points))
     allw = tuple(
-        tuple(_all_w_ok(base, bound, values) for values in value_sets)
-        for bound in base.points
+        tuple(_all_w_ok(base, bound, values) for values in masks)
+        for bound in range(len(base.points))
     )
-    join = tuple(_join_cached(base, values) for values in value_sets)
-    return allw, join
+    return allw, tuple(_join_cached(base, values) for values in masks)
 
 
 def _join_condition(f: LaxMorphism) -> ConditionVerdict:
@@ -236,7 +229,7 @@ def _join_condition(f: LaxMorphism) -> ConditionVerdict:
     base = f.source.base
     pts, beta = f.target.space.points, f.target.alpha.positions
     for (j1, j), values in _lift_value_sets(f).items():
-        if _join_cached(base, values) != base.points[beta[j1]]:
+        if _join_cached(base, values) != beta[j1]:
             return ConditionVerdict(False, (pts[j1], pts[j]))
     return ConditionVerdict(True, None)
 
@@ -259,7 +252,12 @@ def frame_effective_descent_check(f: LaxMorphism) -> DescentReport:
     On a non-frame base no characterization is available; the verdict
     degrades to unknown, carrying the partial all-w evidence.
     """
-    pre, top_eff = _lattice_preamble(f)
+    return _frame_verdict(f, *_lattice_preamble(f))
+
+
+def _frame_verdict(f: LaxMorphism, pre, top_eff) -> DescentReport:
+    """The frame verdict of f from its preamble's output, so that
+    `laxcomma_effective_descent` can run the lattice guard first."""
     if not heyting_report(f.source.base).is_heyting:
         allw = convergence_descent_check(f)
         return DescentReport(
@@ -295,9 +293,9 @@ def laxcomma_effective_descent(f: LaxMorphism) -> DescentReport:
     lifting or family descent refutes; passing the family effectiveness
     criterion makes the all-w condition decisive; anything else is unknown.
     """
-    if heyting_report(f.source.base).is_heyting:
-        return frame_effective_descent_check(f)
     pre, top_eff = _lattice_preamble(f)
+    if heyting_report(f.source.base).is_heyting:
+        return _frame_verdict(f, pre, top_eff)
     if top_eff.is_effective is False:
         return DescentReport(
             "laxcomma", None, False,
@@ -408,11 +406,7 @@ def forgetful_preservation_check(f: LaxMorphism) -> ForgetfulReport:
             details.append(("fam-descent", fam_desc.witness))
     tgt = f.target
     if len(tgt.space.points) == 1 and f.underlying.is_surjective():
-        point = tgt.space.points[0]
-        expected = _join_cached(
-            f.source.base,
-            frozenset(f.source.value(a) for a in f.source.space.points),
-        )
-        is_regular_epi = tgt.value(point) == expected
+        values = sum({1 << x for x in f.source.alpha.positions})
+        is_regular_epi = tgt.alpha.positions[0] == _join_cached(f.source.base, values)
         details.append(("regular-epi-to-point", is_regular_epi))
     return ForgetfulReport(ok, tuple(details))

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice, UnknownLabel
-from .finspace import FiniteSpace, product_label
+from .finspace import FiniteSpace, _union, product_label
 from .laxcomma import LaxMorphism, LaxObject
-from .order import lattice_ops, lattice_report
+from .order import heyting_report, lattice_ops, lattice_report
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,12 @@ class FamVerdict:
 
 
 def first_unrecovered(ops, bound, values):
-    """The all-w condition: the first w <= bound, in base point order, that
-    is not the join of its meets with the values; None when there is none."""
-    base = ops.space
-    for w in base.points:
-        if base.leq(w, bound) and ops.join_of(ops.meet(w, v) for v in values) != w:
+    """The all-w condition: the first position w below the position bound,
+    in base point order, that is not the join of its meets with the values
+    in the position mask values; None when there is none."""
+    below = ops.space.down_masks[bound]
+    for w, meets in enumerate(ops.meet_index):  # the join of the meets is that of their mask
+        if below >> w & 1 and ops.join_mask(_union([1 << m for m in meets], values)) != w:
             return w
     return None
 
@@ -141,36 +142,37 @@ def fam_descent_check(f: FamMorphism) -> FamVerdict:
     base = f.source.base
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("descent analysis needs a complete lattice base")
-    ops = lattice_ops(base)
-    for j in f.target.index:
-        fibre_values = [f.source.value(i) for i in f.fibre(j)]
-        w = first_unrecovered(ops, f.target.value(j), fibre_values)
+    ops, index = lattice_ops(base), base.index
+    for j, y in f.target.values:
+        values = sum({1 << index[f.source.value(i)] for i in f.fibre(j)})
+        w = first_unrecovered(ops, index[y], values)
         if w is not None:
-            return FamVerdict(False, (j, w))
+            return FamVerdict(False, (j, base.points[w]))
     return FamVerdict(True, None)
 
 
-def _fibre_effective(base, ops, fibre_values):
+def _fibre_effective(ops, fibre):
     """Check every compatible sub-family theta splits off a single bundle.
 
-    theta ranges over choices theta_i <= x_i with x_{i'} ^ theta_i =
+    fibre lists the base positions x_i of the values; theta ranges over
+    choices theta_i <= x_i, in base point order, with x_{i'} ^ theta_i =
     theta_{i'} ^ x_i for all pairs; each must satisfy
-    theta_i = x_i ^ (join of all theta).  Returns (ok, witness theta).
+    theta_i = x_i ^ (join of all theta).  Returns (ok, witness theta),
+    the witness as positions.
     """
-    downs = [[z for z in base.points if base.leq(z, x)] for x in fibre_values]
+    meet, down = ops.meet_index, ops.space.down_masks
+    downs = [[z for z in range(len(down)) if down[x] >> z & 1] for x in fibre]
     Budget("theta candidate").spend(math.prod(len(d) for d in downs))
     for theta in itertools.product(*downs):
         compatible = all(
-            ops.meet(fibre_values[k], theta[l]) == ops.meet(theta[k], fibre_values[l])
-            for k in range(len(theta))
-            for l in range(len(theta))
+            meet[x][t] == meet[s][y]
+            for x, s in zip(fibre, theta)
+            for y, t in zip(fibre, theta)
         )
         if not compatible:
             continue
-        big = ops.join_of(theta)
-        if any(
-            theta[k] != ops.meet(fibre_values[k], big) for k in range(len(theta))
-        ):
+        big = ops.join_mask(sum({1 << t for t in theta}))
+        if any(t != meet[x][big] for x, t in zip(fibre, theta)):
             return False, theta
     return True, None
 
@@ -183,8 +185,6 @@ def fam_effective_descent_check(f: FamMorphism) -> FamVerdict:
     exhaustive enumeration of compatible sub-families ("reconstructed"
     criterion), cross-validated against the shortcut whenever both apply.
     """
-    from .order import heyting_report
-
     descent = fam_descent_check(f)
     if not descent:
         return FamVerdict(False, descent.witness)
@@ -192,13 +192,12 @@ def fam_effective_descent_check(f: FamMorphism) -> FamVerdict:
     is_frame = heyting_report(base).is_heyting
     if is_frame:
         shortcut = FamVerdict(True, None, mode="frame-shortcut")
-    ops = lattice_ops(base)
+    ops, index = lattice_ops(base), base.index
     witness = None
     for j in f.target.index:
-        fibre_values = [f.source.value(i) for i in f.fibre(j)]
-        ok, theta = _fibre_effective(base, ops, fibre_values)
+        ok, theta = _fibre_effective(ops, [index[f.source.value(i)] for i in f.fibre(j)])
         if not ok:
-            witness = (j, tuple(zip(f.fibre(j), theta)))
+            witness = (j, tuple(zip(f.fibre(j), (base.points[t] for t in theta))))
             break
     reconstructed = FamVerdict(witness is None, witness, mode="reconstructed")
     if is_frame:

@@ -675,7 +675,6 @@ def allw_join_coherence(base, carriers):
     Family descent is tested before any lifted pair is read.
     """
     allw, join = condition_tables(base)
-    join = [base.index[v] for v in join]
     codes = _ValueMasks()
     checked = 0
     discrepancies = []
@@ -731,7 +730,7 @@ def sierpinski_specialization(carriers):
     the closed parts.
     """
     base = spaces.sierpinski()
-    join = [base.index[v] for v in condition_tables(base)[1]]
+    join = condition_tables(base)[1]
     codes = _ValueMasks()
     checked = 0
     discrepancies = []

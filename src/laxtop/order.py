@@ -119,55 +119,60 @@ def lattice_report(space: FiniteSpace) -> LatticeReport:
 
 
 class LatticeOps:
-    """Fast meet/join arithmetic for a space whose order is a complete lattice.
+    """Meet/join arithmetic for a space whose order is a complete lattice.
 
-    Finite meets/joins of arbitrary families are folded from the binary
-    tables; the empty meet is the top and the empty join is the bottom.
-    The same tables over point positions are built on first use:
-    ``meet_index[i][j]`` is the position of the meet of points i and j.
+    The tables are over point positions, built once from the order masks:
+    ``meet_index[i][j]`` is the position whose down mask is
+    ``down[i] & down[j]``, ``join_index`` likewise with the up masks, and
+    the top and bottom are the points whose down and up masks are full.
+    The label methods are adapters over the tables; families are folded,
+    so the empty meet is the top and the empty join is the bottom.
     """
 
     def __init__(self, space: FiniteSpace):
-        report = lattice_report(space)
-        if not report.is_complete_lattice:
+        if not lattice_report(space).is_complete_lattice:
             raise NotACompleteLattice(
                 f"natural order of {space!r} is not a complete lattice"
             )
         self.space = space
-        self.bottom = report.bottom
-        self.top = report.top
-        self._meet = report.meets
-        self._join = report.joins
-
-    def leq(self, x, y):
-        return self.space.leq(x, y)
+        down, up, everything = space.down_masks, space.up_masks, (1 << len(space.points)) - 1
+        self.meet_index, self.join_index = _intersections(down), _intersections(up)
+        self.top_index, self.bottom_index = down.index(everything), up.index(everything)
+        self.top, self.bottom = space.points[self.top_index], space.points[self.bottom_index]
 
     def meet(self, x, y):
-        return self._meet[(x, y)]
+        index = self.space.index
+        return self.space.points[self.meet_index[index[x]][index[y]]]
 
     def join(self, x, y):
-        return self._join[(x, y)]
+        index = self.space.index
+        return self.space.points[self.join_index[index[x]][index[y]]]
 
     def meet_of(self, items):
-        acc = self.top
-        for x in items:
-            acc = self._meet[(acc, x)]
-        return acc
+        return self._fold(self.meet_index, self.top_index, items)
 
     def join_of(self, items):
-        acc = self.bottom
+        return self._fold(self.join_index, self.bottom_index, items)
+
+    def _fold(self, table, acc, items):
+        index = self.space.index
         for x in items:
-            acc = self._join[(acc, x)]
+            acc = table[acc][index[x]]
+        return self.space.points[acc]
+
+    def join_mask(self, mask):
+        """The position of the join of the positions in mask."""
+        acc = self.bottom_index
+        for v in range(mask.bit_length()):
+            if mask >> v & 1:
+                acc = self.join_index[acc][v]
         return acc
 
-    top_index = cached_property(lambda self: self.space.index[self.top])
-    bottom_index = cached_property(lambda self: self.space.index[self.bottom])
-    meet_index = cached_property(lambda self: self._positions(self._meet))
-    join_index = cached_property(lambda self: self._positions(self._join))
 
-    def _positions(self, table) -> tuple:
-        index, pts = self.space.index, self.space.points
-        return tuple(tuple(index[table[x, y]] for y in pts) for x in pts)
+def _intersections(rows) -> tuple:
+    """The table whose entry (i, j) is the position whose row is rows[i] & rows[j]."""
+    at = {row: k for k, row in enumerate(rows)}
+    return tuple(tuple(at[r & s] for s in rows) for r in rows)
 
 
 def _symmetric(table) -> dict:

@@ -10,28 +10,43 @@ the four subset generators.  Each merged path must give the same verdicts
 and witnesses on an exhaustive universe.  The references read their lifted
 pairs from the label-coded ``reference_pair_lifts``, not from the code
 under test.
+
+The label-coded lattice arithmetic is kept too: ``LatticeOps`` on the
+symmetric label dicts of its report, with its position tables rebuilt from
+them by a label round trip (``_positions``), and the label-coded
+``first_unrecovered``, ``_fibre_effective``, ``condition_tables``, the
+forgetful check's join and the family checks on top of them.  The tables
+built from the order masks must equal the rebuilt ones, and the checks on
+positions must give the same verdicts, witnesses, modes and budget charges.
 """
 
 import itertools
 import math
+from functools import cached_property
 
 import pytest
 
-from laxtop import spaces
+from laxtop import famx, spaces
 from laxtop.descent import (
     ConditionVerdict,
     DescentReport,
-    _all_w_ok,
+    ForgetfulReport,
+    _join_condition,
     cd_filtration_descent_check,
+    condition_tables,
     convergence_descent_check,
+    forgetful_preservation_check,
     frame_effective_descent_check,
     laxcomma_effective_descent,
     scp_meet_compat_check,
     top_effective_descent_check,
 )
 from laxtop.errors import (
+    Budget,
+    CapExceeded,
     InternalInconsistency,
     LaxtopError,
+    NotACompleteLattice,
     NotALattice,
     NotCompletelyDistributive,
 )
@@ -39,9 +54,12 @@ from laxtop.famx import (
     FamVerdict,
     fam_descent_check,
     fam_effective_descent_check,
+    fam_morphism,
+    fam_object,
+    first_unrecovered,
     to_fam,
 )
-from laxtop.finspace import subsets
+from laxtop.finspace import build_space, subsets
 from laxtop.harness import (
     _small_fam_morphisms,
     lattice_bases,
@@ -53,8 +71,101 @@ from laxtop.laxcomma import (
     exponentiability_report,
     lax_hom,
 )
-from laxtop.order import distributivity_report, heyting_report, lattice_ops, lattice_report
+from laxtop.order import (
+    LatticeOps,
+    distributivity_report,
+    heyting_report,
+    lattice_ops,
+    lattice_report,
+)
 from test_descent_reference import reference_pair_lifts
+
+
+class ReferenceLatticeOps:
+    """LatticeOps on the symmetric label dicts of the lattice report; the
+    position tables are built on first use by a label round trip."""
+
+    def __init__(self, space):
+        report = lattice_report(space)
+        if not report.is_complete_lattice:
+            raise NotACompleteLattice(
+                f"natural order of {space!r} is not a complete lattice"
+            )
+        self.space = space
+        self.bottom = report.bottom
+        self.top = report.top
+        self._meet = report.meets
+        self._join = report.joins
+
+    def leq(self, x, y):
+        return self.space.leq(x, y)
+
+    def meet(self, x, y):
+        return self._meet[(x, y)]
+
+    def join(self, x, y):
+        return self._join[(x, y)]
+
+    def meet_of(self, items):
+        acc = self.top
+        for x in items:
+            acc = self._meet[(acc, x)]
+        return acc
+
+    def join_of(self, items):
+        acc = self.bottom
+        for x in items:
+            acc = self._join[(acc, x)]
+        return acc
+
+    top_index = cached_property(lambda self: self.space.index[self.top])
+    bottom_index = cached_property(lambda self: self.space.index[self.bottom])
+    meet_index = cached_property(lambda self: self._positions(self._meet))
+    join_index = cached_property(lambda self: self._positions(self._join))
+
+    def _positions(self, table) -> tuple:
+        index, pts = self.space.index, self.space.points
+        return tuple(tuple(index[table[x, y]] for y in pts) for x in pts)
+
+
+def reference_first_unrecovered(ops, bound, values):
+    base = ops.space
+    for w in base.points:
+        if base.leq(w, bound) and ops.join_of(ops.meet(w, v) for v in values) != w:
+            return w
+    return None
+
+
+def reference_fibre_effective(base, ops, fibre_values):
+    downs = [[z for z in base.points if base.leq(z, x)] for x in fibre_values]
+    Budget("theta candidate").spend(math.prod(len(d) for d in downs))
+    for theta in itertools.product(*downs):
+        compatible = all(
+            ops.meet(fibre_values[k], theta[l]) == ops.meet(theta[k], fibre_values[l])
+            for k in range(len(theta))
+            for l in range(len(theta))
+        )
+        if not compatible:
+            continue
+        big = ops.join_of(theta)
+        if any(
+            theta[k] != ops.meet(fibre_values[k], big) for k in range(len(theta))
+        ):
+            return False, theta
+    return True, None
+
+
+def reference_condition_tables(base):
+    ops = ReferenceLatticeOps(base)
+    value_sets = [
+        frozenset(base.points_at(mask)) for mask in range(1 << len(base.points))
+    ]
+    allw = tuple(
+        tuple(reference_first_unrecovered(ops, bound, values) is None for values in value_sets)
+        for bound in base.points
+    )
+    join = tuple(ops.join_of(values) for values in value_sets)
+    return allw, join
 
 
 def reference_fam_descent_check(f):
@@ -62,7 +173,7 @@ def reference_fam_descent_check(f):
     report = lattice_report(base)
     if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
         raise NotALattice("descent analysis needs a complete lattice base")
-    ops = lattice_ops(base)
+    ops = ReferenceLatticeOps(base)
     for j in f.target.index:
         y = f.target.value(j)
         fibre_values = [f.source.value(i) for i in f.fibre(j)]
@@ -75,12 +186,38 @@ def reference_fam_descent_check(f):
     return FamVerdict(True, None)
 
 
+def reference_fam_effective_descent_check(f):
+    descent = reference_fam_descent_check(f)
+    if not descent:
+        return FamVerdict(False, descent.witness)
+    base = f.source.base
+    is_frame = heyting_report(base).is_heyting
+    if is_frame:
+        shortcut = FamVerdict(True, None, mode="frame-shortcut")
+    ops = ReferenceLatticeOps(base)
+    witness = None
+    for j in f.target.index:
+        fibre_values = [f.source.value(i) for i in f.fibre(j)]
+        ok, theta = reference_fibre_effective(base, ops, fibre_values)
+        if not ok:
+            witness = (j, tuple(zip(f.fibre(j), theta)))
+            break
+    reconstructed = FamVerdict(witness is None, witness, mode="reconstructed")
+    if is_frame:
+        if bool(reconstructed) != bool(shortcut):
+            raise InternalInconsistency(
+                "fibre enumeration contradicts the frame shortcut"
+            )
+        return shortcut
+    return reconstructed
+
+
 def reference_convergence_descent_check(f):
     base = f.source.base
     report = lattice_report(base)
     if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
         raise NotALattice("the all-w condition needs a complete lattice base")
-    ops = lattice_ops(base)
+    ops = ReferenceLatticeOps(base)
     tgt = f.target
     value_sets = {
         key: frozenset(f.source.value(a1) for (a1, _) in pairs)
@@ -92,7 +229,7 @@ def reference_convergence_descent_check(f):
                 continue
             values = value_sets[(b1, b)]
             bound = tgt.value(b1)
-            if _all_w_ok(base, bound, values):
+            if reference_first_unrecovered(ops, bound, values) is None:
                 continue
             for w in base.points:  # recover the smallest witness
                 if base.leq(w, bound) and ops.join_of(
@@ -104,7 +241,7 @@ def reference_convergence_descent_check(f):
 
 def reference_join_condition(f):
     """For each pair b' <= b, the value at b' is the join of the lifted values."""
-    ops = lattice_ops(f.source.base)
+    ops = ReferenceLatticeOps(f.source.base)
     for (b1, b), pairs in reference_pair_lifts(f.underlying).items():
         if ops.join_of(frozenset(f.source.value(a1) for (a1, _) in pairs)) != f.target.value(b1):
             return ConditionVerdict(False, (b1, b))
@@ -150,11 +287,11 @@ def reference_frame_effective_descent_check(f):
 
 def reference_laxcomma_effective_descent(f):
     base = f.source.base
-    if heyting_report(base).is_heyting:
-        return reference_frame_effective_descent_check(f)
     report = lattice_report(base)
     if not (report.is_meet_semilattice and report.is_join_semilattice and report.is_complete_lattice):
         raise NotALattice("effective-descent analysis needs a complete lattice base")
+    if heyting_report(base).is_heyting:
+        return reference_frame_effective_descent_check(f)
     pre = ["complete-lattice"]
     if scp_meet_compat_check(base):
         pre.append("meet-compatibility")
@@ -175,7 +312,7 @@ def reference_laxcomma_effective_descent(f):
             preconditions_checked=tuple(pre),
             notes=("family image fails descent",),
         )
-    fam_eff = fam_effective_descent_check(fam)
+    fam_eff = reference_fam_effective_descent_check(fam)
     allw = reference_convergence_descent_check(f)
     if fam_eff:
         verdict = bool(allw)
@@ -193,6 +330,30 @@ def reference_laxcomma_effective_descent(f):
         notes=("family image not known effective; no characterization applies",
                f"all-w condition: {allw.ok}"),
     )
+
+
+def reference_forgetful_preservation_check(f):
+    verdict = reference_laxcomma_effective_descent(f)
+    details = []
+    ok = True
+    if verdict.is_effective is True:
+        top_eff = top_effective_descent_check(f.underlying)
+        fam_desc = reference_fam_descent_check(to_fam(f))
+        if top_eff.is_effective is not True:
+            ok = False
+            details.append(("top-effective", False))
+        if not fam_desc:
+            ok = False
+            details.append(("fam-descent", fam_desc.witness))
+    tgt = f.target
+    if len(tgt.space.points) == 1 and f.underlying.is_surjective():
+        point = tgt.space.points[0]
+        expected = ReferenceLatticeOps(f.source.base).join_of(
+            frozenset(f.source.value(a) for a in f.source.space.points),
+        )
+        is_regular_epi = tgt.value(point) == expected
+        details.append(("regular-epi-to-point", is_regular_epi))
+    return ForgetfulReport(ok, tuple(details))
 
 
 def reference_cd_filtration_descent_check(f):
@@ -318,6 +479,8 @@ def test_lax_comma_verdicts_match_the_reference(base):
         (laxcomma_effective_descent, reference_laxcomma_effective_descent),
         (frame_effective_descent_check, reference_frame_effective_descent_check),
         (convergence_descent_check, reference_convergence_descent_check),
+        (_join_condition, reference_join_condition),
+        (forgetful_preservation_check, reference_forgetful_preservation_check),
     ]
     if distributivity_report(base).is_completely_distributive:
         pairs.append((cd_filtration_descent_check, reference_cd_filtration_descent_check))
@@ -386,3 +549,147 @@ def test_subsets_match_every_generator_they_replace():
             frozenset(s) for s in reference_nonempty_subsets(items)
         }
         assert as_sets == {frozenset(s) for s in reference_mask_subsets(items)}
+
+
+# -- the lattice arithmetic on positions --------------------------------------
+
+
+N5 = build_space(
+    ["0", "a", "b", "c", "1"],
+    order=[("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+    name="N5",
+)
+TABLE_BASES = lattice_bases(5) + (spaces.m3(), N5, spaces.div12(), spaces.sierpinski())
+NON_FRAMES = (spaces.m3(), N5)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except KeyError:
+        return KeyError
+
+
+@pytest.mark.parametrize("base", TABLE_BASES, ids=repr)
+def test_lattice_ops_tables_equal_the_label_round_trip(base):
+    ops, ref = LatticeOps(base), ReferenceLatticeOps(base)
+    assert sorted(vars(ops)) == [  # the tables, the space and the two labels
+        "bottom", "bottom_index", "join_index", "meet_index", "space", "top", "top_index",
+    ]
+    for name in ("meet_index", "join_index", "top_index", "bottom_index", "top", "bottom"):
+        assert getattr(ops, name) == getattr(ref, name), name
+    labels = base.points + ("zz",)  # a label outside the space raises KeyError in both
+    for x, y in itertools.product(labels, repeat=2):
+        assert _value_or_error(ops.meet, x, y) == _value_or_error(ref.meet, x, y)
+        assert _value_or_error(ops.join, x, y) == _value_or_error(ref.join, x, y)
+    for family in subsets(base.points):
+        for items in (family, family[::-1]):
+            assert ops.meet_of(iter(items)) == ref.meet_of(iter(items))
+            assert ops.join_of(iter(items)) == ref.join_of(iter(items))
+
+
+def test_lattice_ops_refuse_what_the_label_coded_ops_refuse():
+    not_t0 = build_space(["a", "b"], order=[("a", "b"), ("b", "a")])
+    refused = 0
+    for space in posets_up_to(3) + (not_t0,):
+        if space.is_t0() and lattice_report(space).is_complete_lattice:
+            continue
+        got = _outcome(LatticeOps, space)
+        assert got == _outcome(ReferenceLatticeOps, space)
+        refused += got[0] is NotACompleteLattice
+    assert refused == 5
+
+
+@pytest.mark.parametrize("base", TABLE_BASES, ids=repr)
+def test_condition_tables_and_first_unrecovered_match_the_label_coded_ones(base):
+    allw, join = condition_tables(base)
+    want_allw, want_join = reference_condition_tables(base)
+    assert allw == want_allw
+    assert tuple(base.points[j] for j in join) == want_join
+    ops, ref = lattice_ops(base), ReferenceLatticeOps(base)
+    for i, bound in enumerate(base.points):
+        for mask in range(1 << len(base.points)):
+            w = first_unrecovered(ops, i, mask)
+            want = reference_first_unrecovered(ref, bound, base.points_at(mask))
+            assert (None if w is None else base.points[w]) == want, (bound, mask)
+
+
+@pytest.mark.parametrize("base", lattice_bases(4) + NON_FRAMES, ids=repr)
+def test_fibre_effective_matches_the_label_coded_search(base, monkeypatch):
+    monkeypatch.setattr(famx, "Budget", _Charges)
+    monkeypatch.setitem(globals(), "Budget", _Charges)
+    ops, ref = lattice_ops(base), ReferenceLatticeOps(base)
+    outcomes = set()
+    for size in range(1, 4):
+        for fibre in itertools.product(range(len(base.points)), repeat=size):
+            ok, theta = _charged(famx._fibre_effective, ops, list(fibre))[0]
+            got = ok, None if theta is None else tuple(base.points[t] for t in theta)
+            labels = [base.points[x] for x in fibre]
+            want = _charged(reference_fibre_effective, base, ref, labels)
+            assert (got, _Charges.log) == want, labels
+            outcomes.add(ok)
+    # over a frame every compatible family glues
+    assert outcomes == ({True, False} if base in NON_FRAMES else {True})
+
+
+class _Charges(Budget):
+    """A budget that logs every charge, in order."""
+
+    log = []
+
+    def spend(self, n=1):
+        _Charges.log.append((self.search, n))
+        super().spend(n)
+
+
+def _charged(check, *args):
+    _Charges.log = []
+    return _outcome(check, *args), _Charges.log
+
+
+def _fam_morphisms(base, source_size, target_size):
+    """Every family morphism over base whose source index has at most
+    source_size elements and whose target index has at most target_size."""
+
+    def families(most):
+        return [
+            fam_object(base, {f"i{n}": v for n, v in enumerate(values)})
+            for size in range(1, most + 1)
+            for values in itertools.product(base.points, repeat=size)
+        ]
+
+    out = []
+    for src in families(source_size):
+        for tgt in families(target_size):
+            for images in itertools.product(tgt.index, repeat=len(src.index)):
+                table = dict(zip(src.index, images))
+                if all(base.leq(src.value(i), tgt.value(table[i])) for i in src.index):
+                    out.append(fam_morphism(table, src, tgt))
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, "8"])
+@pytest.mark.parametrize("base", lattice_bases(4) + NON_FRAMES, ids=repr)
+def test_family_checks_match_the_label_coded_checks(base, cap, monkeypatch):
+    monkeypatch.setattr(famx, "Budget", _Charges)
+    monkeypatch.setitem(globals(), "Budget", _Charges)
+    if cap:
+        monkeypatch.setenv("LAXTOP_CAP", cap)  # stops the larger theta searches
+    kinds = set()
+    for f in _fam_morphisms(base, 3, 2):
+        for check, reference in (
+            (fam_descent_check, reference_fam_descent_check),
+            (fam_effective_descent_check, reference_fam_effective_descent_check),
+        ):
+            got = _charged(check, f)
+            assert got == _charged(reference, f), (check.__name__, f)
+            verdict = got[0]
+            kinds.add((verdict.mode, verdict.verdict) if isinstance(verdict, FamVerdict) else verdict[0])
+    if len(base.points) > 1:
+        assert ("definitive", False) in kinds  # refuted by descent
+    if cap and len(base.points) > 2:
+        assert CapExceeded in kinds
+    elif base in NON_FRAMES:
+        assert ("reconstructed", False) in kinds
+    elif len(base.points) > 1:
+        assert ("frame-shortcut", True) in kinds

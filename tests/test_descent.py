@@ -1,3 +1,4 @@
+import io
 import time
 
 import pytest
@@ -18,9 +19,11 @@ from laxtop.descent import (
 from laxtop.errors import NotALattice, NotCompletelyDistributive
 from laxtop.famx import first_unrecovered
 from laxtop.finspace import build_space, cmap, identity_map
-from laxtop.harness import lattice_bases
+from laxtop.cli import run_command
+from laxtop.harness import lattice_bases, posets_up_to
 from laxtop.laxcomma import lax_morphism, lax_object
-from laxtop.order import lattice_ops
+from laxtop.order import lattice_ops, lattice_report
+from laxtop.serialization import lax_morphism_to_dict, to_json
 
 
 C3 = spaces.chain(3)
@@ -79,6 +82,28 @@ def test_meet_compatibility_is_decided_once_per_base(monkeypatch):
             scp_meet_compat_check(spaces.antichain(2))
 
 
+def test_laxcomma_verdict_refuses_every_base_that_is_not_a_complete_lattice(tmp_path):
+    # the lattice guard runs before the Heyting analysis, which needs meets
+    message = "effective-descent analysis needs a complete lattice base"
+    refused = 0
+    for base in posets_up_to(3):
+        if lattice_report(base).is_complete_lattice:
+            continue
+        obj = lax_object(PT, base, {"*": base.points[0]})
+        m = lax_morphism(identity_map(PT), obj, obj)
+        with pytest.raises(NotALattice) as exc:
+            laxcomma_effective_descent(m)
+        assert str(exc.value) == message
+        path = tmp_path / f"m{refused}.json"
+        path.write_text(to_json(lax_morphism_to_dict(m)))
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            code = run_command(["descent", "--category", "laxcomma", str(path)] + flags, out)
+            assert (code, out.getvalue()) == (1, f"error: {message}\n")
+        refused += 1
+    assert refused == 5  # the antichains on 2 and 3 points, V, its dual, 2-chain + point
+
+
 def test_condition_tables_equal_the_conditions_on_every_mask():
     bases = lattice_bases(5) + (spaces.sierpinski(),)
     start = time.process_time()
@@ -89,10 +114,10 @@ def test_condition_tables_equal_the_conditions_on_every_mask():
         n = len(base.points)
         assert len(allw) == n and len(join) == 2**n
         for mask in range(2**n):
-            values = [p for i, p in enumerate(base.points) if mask >> i & 1]
-            assert join[mask] == ops.join_of(values), (base, values)
+            values = base.points_at(mask)
+            assert base.points[join[mask]] == ops.join_of(values), (base, values)
             for i, bound in enumerate(base.points):
-                ok = first_unrecovered(ops, bound, values) is None
+                ok = first_unrecovered(ops, i, mask) is None
                 assert allw[i][mask] == ok, (base, bound, values)
                 cells.add(ok)
     assert cells == {True, False}

@@ -8,10 +8,14 @@ every alpha listed and filtered against beta . f point by point, and the
 all-w / join comparison building every lifted value set before the fibre
 test.  Each fast path must give the same dicts, verdicts, witnesses and
 triples, in the same order; the sweep reads the all-w and join conditions
-from per-base tables, so its cache traffic is one lookup per table cell.
+from per-base tables, so its cache traffic is one lookup per table cell;
+the references read the all-w and join conditions on labels, through
+``reference_all_w_ok`` and ``reference_join``, and touch no condition cache.
 ``_pair_lifts`` keeps only the lower ends of the lifted pairs, as position
 masks, so its output is compared with ``lower_ends`` of the reference.
 """
+
+from functools import lru_cache
 
 import pytest
 
@@ -34,7 +38,23 @@ from laxtop.harness import (
     posets_up_to,
     sierpinski_specialization,
 )
-from laxtop.order import heyting_report
+from laxtop.order import heyting_report, lattice_ops
+
+
+@lru_cache(maxsize=None)
+def reference_all_w_ok(base, bound, values):
+    """The all-w condition on labels: every w <= bound is the join of its
+    meets with the values."""
+    ops = lattice_ops(base)
+    return all(
+        ops.join_of(ops.meet(w, v) for v in values) == w
+        for w in base.points
+        if base.leq(w, bound)
+    )
+
+
+def reference_join(base, values):
+    return lattice_ops(base).join_of(values)
 
 
 def reference_pair_lifts(f):
@@ -113,7 +133,7 @@ def reference_allw_join_coherence(base, carriers):
             for key, pairs in lifts.items()
         }
         fam_ok = all(
-            _all_w_ok(base, beta(b), frozenset(
+            reference_all_w_ok(base, beta(b), frozenset(
                 alpha(a) for a in alpha.source.points if f(a) == b
             ))
             for b in beta.source.points
@@ -121,11 +141,11 @@ def reference_allw_join_coherence(base, carriers):
         if not fam_ok:
             continue
         allw = all(
-            _all_w_ok(base, beta(b1), value_sets[(b1, b)])
+            reference_all_w_ok(base, beta(b1), value_sets[(b1, b)])
             for (b1, b) in value_sets
         )
         join = all(
-            _join_cached(base, value_sets[(b1, b)]) == beta(b1)
+            reference_join(base, value_sets[(b1, b)]) == beta(b1)
             for (b1, b) in value_sets
         )
         checked += 1
@@ -222,7 +242,7 @@ def test_sierpinski_specialization_matches_the_reference():
     for f, alpha, beta, lifts in reference_lax_triples(base, carriers):
         chains_ok = reference_top_effective_descent_check(f).is_effective
         join_ok = all(
-            _join_cached(base, frozenset(alpha(a1) for (a1, _) in pairs)) == beta(b1)
+            reference_join(base, frozenset(alpha(a1) for (a1, _) in pairs)) == beta(b1)
             for ((b1, _), pairs) in lifts.items()
         )
         a0 = [a for a in alpha.source.points if alpha(a) == "1"]

@@ -377,14 +377,14 @@ def test_routes_match_the_reference_on_quotients_onto_posets(base, quotients):
 def tampered_ops(base, table, cell, value):
     """Fresh lattice ops on base with one cell of its meet or join table changed.
 
-    The label table is changed before the position table is first built, so
-    both read the same wrong value."""
+    The label methods read the position table, so both read the same wrong
+    value."""
     ops = LatticeOps(base)
+    rows = [list(row) for row in getattr(ops, f"{table}_index")]
+    rows[cell[0]][cell[1]] = value
+    setattr(ops, f"{table}_index", tuple(map(tuple, rows)))
     x, y = (base.points[i] for i in cell)
-    labels = dict(getattr(ops, f"_{table}"))
-    labels[x, y] = base.points[value]
-    setattr(ops, f"_{table}", labels)
-    assert getattr(ops, f"{table}_index")[cell[0]][cell[1]] == value
+    assert getattr(ops, table)(x, y) == base.points[value]
     return ops
 
 

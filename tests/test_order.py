@@ -136,8 +136,8 @@ def test_report_caches_keep_at_most_their_bound():
         lattice_ops: lambda s: (s,),
         finspace._down_sets: lambda s: (s,),
         finspace._monotone_tables: lambda s: (s, s),
-        descent._all_w_ok: lambda s: (s, s.points[1], frozenset(s.points[:1])),
-        descent._join_cached: lambda s: (s, frozenset(s.points)),
+        descent._all_w_ok: lambda s: (s, 1, 0b01),
+        descent._join_cached: lambda s: (s, 0b11),
         descent._scp_meet_compat: lambda s: (s,),
     }
     bound = finspace.CACHE_SIZE
