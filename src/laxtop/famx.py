@@ -84,7 +84,7 @@ def to_fam(arg):
         return fam_object(arg.base, {a: arg.value(a) for a in arg.space.points})
     if isinstance(arg, LaxMorphism):
         return fam_morphism(
-        dict(arg.underlying.table), to_fam(arg.source), to_fam(arg.target)
+            dict(arg.underlying.table), to_fam(arg.source), to_fam(arg.target)
         )
     raise TypeError(f"cannot forget the topology of {type(arg).__name__}")
 

@@ -508,17 +508,22 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
         if set(table) != set(base.points):
             raise NotSurjective("quotient table must be total over the base points")
         values = sorted(set(table.values()))
-        quot = build_space(values, opens=_final_opens(base, table, values))
-        return InducedSpace(quot, cmap(base, quot, table))
+        at = {v: k for k, v in enumerate(values)}
+        positions = tuple(at[table[p]] for p in base.points)
+        rows = _final_rows(base, positions, len(values))
+        quot = FiniteSpace(tuple(values), rows, provenance="opens")
+        return InducedSpace(quot, CMap(base, quot, positions))
     raise ValueError(f"unknown induced-space kind {kind!r}")
 
 
-def _final_opens(source, table, values):
-    """The final topology: every set of values whose preimage is open."""
-    return [
-        frozenset(v) for v in subsets(values)
-        if source.is_down_closed([p for p in source.points if table[p] in v])
-    ]
+def _final_rows(source: FiniteSpace, image, width: int) -> tuple:
+    """The order of the final topology of a map, given as target positions.
+
+    A set of values is open when its preimage is down-closed, so the order
+    is the least preorder that holds the image of every source pair.
+    """
+    pairs = {(image[i], image[j]) for i, j in source.position_pairs}
+    return _transitive_reflexive_closure(range(width), pairs)
 
 
 def subsets(items):
@@ -554,8 +559,7 @@ def is_quotient_map(m: CMap) -> bool:
     """True iff surjective and the target carries the final topology."""
     if not m.is_surjective():
         return False
-    final = _final_opens(m.source, m.image, m.target.points)
-    return set(m.target.open_sets()) == set(final)
+    return m.target.up_masks == _final_rows(m.source, m.positions, len(m.target.points))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

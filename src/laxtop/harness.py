@@ -16,6 +16,7 @@ from .errors import LaxtopError, MeetsMissing, SchemaError
 from .finspace import (
     build_space,
     enumerate_cmaps,
+    induced_space,
     is_continuous,
     product_space,
     sober_report,
@@ -474,8 +475,6 @@ def suite_lax_sum_extensivity(cfg):
 
 
 def _restrict(obj, subset):
-    from .finspace import induced_space
-
     sub = induced_space("subspace", obj.space, sorted(subset))
     return lax_object(
         sub.space, obj.base, {p: obj.value(p) for p in sub.space.points}

@@ -28,6 +28,7 @@ from .finspace import (
     CMap,
     FiniteSpace,
     _monotone_tables,
+    _union,
     cmap,
     enumerate_cmaps,
     induced_space,
@@ -187,33 +188,29 @@ _MINIMALITY_CAP = 4096
 def lan_extension(beta: CMap, q: CMap, verify: bool = True) -> CMap:
     """Least continuous extension of beta along q into a complete-lattice base.
 
-    Computed pointwise as the meet over open neighbourhoods of the join of
-    beta over the fibre of each neighbourhood; the empty join at an isolated
-    point resolves to the bottom element.
+    The join of beta over the fibre of an open set grows with the set, so its
+    meet over the open neighbourhoods of c is the join over the fibre of the
+    down-set of c (the bottom when that fibre is empty), monotone in c.
     """
     if beta.source != q.source:
         raise NotParallel("beta and q must share their source")
     base = beta.target
     ops = lattice_ops(base)  # raises NotACompleteLattice
     target = q.target
-    table = {}
-    for c in target.points:
-        opens_at_c = [v for v in target.open_sets() if c in v]
-        meets = [
-            ops.join_of(beta(b) for b in beta.source.points if q(b) in v)
-            for v in opens_at_c
-        ]
-        table[c] = ops.meet_of(meets)
-    result = cmap(target, base, table)  # construction validates continuity
+    bits = [1 << x for x in beta.positions]
+    positions = tuple(
+        ops.join_mask(_union(bits, _union(q.fibres, down))) for down in target.down_masks
+    )
+    result = CMap(target, base, positions)
     if verify:
-        for b in beta.source.points:
-            if not base.leq(beta(b), result(q(b))):
-                raise InternalInconsistency("extension does not lie above the input")
-        candidates = enumerate_cmaps(target, base)
+        up, values = base.up_masks, beta.positions
+        if _lax_failure(values, positions, q.positions, up) is not None:
+            raise InternalInconsistency("extension does not lie above the input")
+        candidates = _monotone_tables(target, base)
         if len(candidates) <= _MINIMALITY_CAP:
             for delta in candidates:
-                if all(base.leq(beta(b), delta(q(b))) for b in beta.source.points):
-                    if not all(base.leq(result(c), delta(c)) for c in target.points):
+                if _lax_failure(values, delta, q.positions, up) is None:
+                    if not all(up[x] >> d & 1 for x, d in zip(positions, delta)):
                         raise InternalInconsistency("extension is not minimal")
     return result
 
@@ -301,10 +298,15 @@ def _check_cone(space: FiniteSpace, cone, base: FiniteSpace):
 def initial_lift_over(space: FiniteSpace, cone, base: FiniteSpace) -> LaxObject:
     _check_cone(space, cone, base)
     ops = lattice_ops(base)  # raises NotACompleteLattice
-    table = {
-        x: ops.meet_of(o.value(m(x)) for (m, o) in cone) for x in space.points
-    }
-    return lax_object(space, base, table)
+    meet, positions = ops.meet_index, [ops.top_index] * len(space.points)
+    for m, o in cone:
+        values = o.alpha.positions
+        positions = [meet[x][values[j]] for x, j in zip(positions, m.positions)]
+    # a leg built directly as a CMap need not be monotone, and then neither is the meet
+    if not is_monotone(positions, space.up_masks, base.up_masks):
+        table = dict(zip(space.points, (base.points[j] for j in positions)))
+        raise NotContinuous(f"map {table} is not monotone")
+    return LaxObject(space, CMap(space, base, tuple(positions)))
 
 
 # -- exponentials ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import io
 import time
 
@@ -22,7 +23,7 @@ from laxtop.finspace import build_space, cmap, identity_map
 from laxtop.cli import run_command
 from laxtop.harness import lattice_bases, posets_up_to
 from laxtop.laxcomma import lax_morphism, lax_object
-from laxtop.order import lattice_ops, lattice_report
+from laxtop.order import lattice_ops, lattice_report, order_to_space
 from laxtop.serialization import lax_morphism_to_dict, to_json
 
 
@@ -51,35 +52,31 @@ def test_sigma_is_the_identity_assignment():
 def test_scp_meet_compatibility():
     assert scp_meet_compat_check(C3)
     assert scp_meet_compat_check(spaces.m3())
-    with pytest.raises(NotALattice):
-        scp_meet_compat_check(spaces.antichain(2))
-
-
-def test_meet_compatibility_is_decided_once_per_base(monkeypatch):
-    built = []
-    product_space = descent.product_space
-
-    def counted(factors):
-        built.append(factors)
-        return product_space(factors)
-
-    monkeypatch.setattr(descent, "product_space", counted)
-    # labels no other test uses, so that no earlier verdict is kept for it
-    base = build_space(["lo", "mid", "hi"], order=[("lo", "mid"), ("mid", "hi")])
     m = lax_morphism(
         cmap(PT, PT, {"*": "*"}),
-        lax_object(PT, base, {"*": "mid"}),
-        lax_object(PT, base, {"*": "hi"}),
+        lax_object(PT, C3, {"*": "1"}),
+        lax_object(PT, C3, {"*": "2"}),
     )
-    assert scp_meet_compat_check(base)
-    assert len(built) == 1
-    assert scp_meet_compat_check(base)
-    report = laxcomma_effective_descent(m)
-    assert "meet-compatibility" in report.preconditions_checked
-    assert len(built) == 1  # the second check and the descent verdict built none
-    for _ in range(2):  # the lattice guard still runs on every call
+    assert "meet-compatibility" in laxcomma_effective_descent(m).preconditions_checked
+    for _ in range(2):  # the lattice guard runs on every call
         with pytest.raises(NotALattice):
             scp_meet_compat_check(spaces.antichain(2))
+
+
+def test_meet_compatibility_holds_on_every_lattice_and_its_lower_topology():
+    bases = list(lattice_bases(5)) + [spaces.m3(), spaces.div12(), spaces.sierpinski()]
+    for base in bases:
+        assert scp_meet_compat_check(base), base
+        assert scp_meet_compat_check(order_to_space(base, "lower")), base
+
+
+def test_meet_compatibility_fails_on_a_meet_table_that_is_not_monotone(monkeypatch):
+    ops = copy.copy(lattice_ops(C3))
+    table = [list(row) for row in ops.meet_index]
+    table[2][2] = 0  # 1 <= 2 but meet(1, 2) = 1 is not below meet(2, 2) = 0
+    ops.meet_index = tuple(tuple(row) for row in table)
+    monkeypatch.setattr(descent, "lattice_ops", lambda base: ops)
+    assert not scp_meet_compat_check(C3)
 
 
 def test_laxcomma_verdict_refuses_every_base_that_is_not_a_complete_lattice(tmp_path):

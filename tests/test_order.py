@@ -138,7 +138,6 @@ def test_report_caches_keep_at_most_their_bound():
         finspace._monotone_tables: lambda s: (s, s),
         descent._all_w_ok: lambda s: (s, 1, 0b01),
         descent._join_cached: lambda s: (s, 0b11),
-        descent._scp_meet_compat: lambda s: (s,),
     }
     bound = finspace.CACHE_SIZE
     assert order.CACHE_SIZE is descent.CACHE_SIZE is bound  # one constant
