@@ -11,108 +11,115 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BaseMismatch, Budget, InternalInconsistency, NotALattice, UnknownLabel
-from .finspace import FiniteSpace, _union, product_label
+from .finspace import FiniteSpace, _fibres, _union, product_label
 from .laxcomma import LaxMorphism, LaxObject
 from .order import heyting_report, lattice_ops, lattice_report
 
 
 @dataclass(frozen=True)
 class FamObject:
+    """The base position of each index element, in index order (sorted, as
+    ``fam_object`` lists it); ``values``, the label pairs, is built on first use."""
+
     base: FiniteSpace
     index: tuple
-    values: tuple  # (index element, base point) pairs, in index order
+    positions: tuple
 
     def __post_init__(self):
-        if tuple(i for (i, _) in self.values) != self.index:
+        if len(self.positions) != len(self.index):
             raise UnknownLabel(
                 f"family values not total: they must cover the index {self.index!r} in order"
             )
-        for (_, x) in self.values:
-            if x not in self.base.points:
+        for x in self.positions:
+            if not 0 <= x < len(self.base.points):
                 raise BaseMismatch(f"family value {x!r} is not a base point")
 
-    def value(self, i):
-        return dict(self.values)[i]
+    values = cached_property(lambda self: tuple(
+        (i, self.base.points[x]) for i, x in zip(self.index, self.positions)
+    ))
 
 
 def fam_object(base: FiniteSpace, values: dict) -> FamObject:
     idx = tuple(sorted(values))
-    return FamObject(base, idx, tuple((i, values[i]) for i in idx))
+    for i in idx:
+        if values[i] not in base.points:
+            raise BaseMismatch(f"family value {values[i]!r} is not a base point")
+    return FamObject(base, idx, tuple(base.index[values[i]] for i in idx))
 
 
 @dataclass(frozen=True)
 class FamMorphism:
-    map: tuple  # (source index, target index) pairs, in source index order
+    """The target index position of each source index element, in source index
+    order (-1 outside the target index); ``fibres`` is built as in ``CMap``."""
+
     source: FamObject
     target: FamObject
+    positions: tuple
 
     def __post_init__(self):
         if self.source.base != self.target.base:
             raise BaseMismatch("families live over different bases")
-        if tuple(i for (i, _) in self.map) != self.source.index:
+        if len(self.positions) != len(self.source.index):
             raise UnknownLabel(
                 f"family map not total: it must cover the index {self.source.index!r} in order"
             )
-        base = self.source.base
-        table = dict(self.map)
-        for i in self.source.index:
-            if table[i] not in self.target.index:
+        up, values = self.source.base.up_masks, self.target.positions
+        for i, x, j in zip(self.source.index, self.source.positions, self.positions):
+            if not 0 <= j < len(values):
                 raise BaseMismatch(f"index {i!r} maps outside the target index set")
-            if not base.leq(self.source.value(i), self.target.value(table[i])):
+            if not up[x] >> values[j] & 1:
                 raise BaseMismatch(f"value at {i!r} is not below its image value")
 
-    def __call__(self, i):
-        return dict(self.map)[i]
-
-    def fibre(self, j):
-        return [i for (i, jj) in self.map if jj == j]
+    fibres = cached_property(lambda self: _fibres(self.positions, len(self.target.index)))
 
 
 def fam_morphism(table: dict, source: FamObject, target: FamObject) -> FamMorphism:
-    """The morphism of an index dict, listed in source index order; indices
-    outside the source go last, so that FamMorphism rejects them."""
-    rank = {i: k for k, i in enumerate(source.index)}
-    pairs = sorted(table.items(), key=lambda pair: rank.get(pair[0], len(rank)))
-    return FamMorphism(tuple(pairs), source, target)
+    """The morphism of an index dict.  An image outside the target index is
+    carried as -1, and a table that does not cover exactly the source index
+    as one position too many, so that FamMorphism rejects both in order."""
+    if len(table) != len(source.index) or table.keys() != set(source.index):
+        return FamMorphism(source, target, (-1,) * (len(source.index) + 1))
+    at = {j: k for k, j in enumerate(target.index)}
+    images = (table[i] for i in source.index)
+    return FamMorphism(source, target, tuple(at[j] if j in target.index else -1 for j in images))
 
 
 def to_fam(arg):
     """Forget the topology of a lax object or morphism over X."""
     if isinstance(arg, LaxObject):
-        return fam_object(arg.base, {a: arg.value(a) for a in arg.space.points})
+        return fam_object(arg.base, arg.alpha.image)
     if isinstance(arg, LaxMorphism):
-        return fam_morphism(
-            dict(arg.underlying.table), to_fam(arg.source), to_fam(arg.target)
-        )
+        return fam_morphism(arg.underlying.image, to_fam(arg.source), to_fam(arg.target))
     raise TypeError(f"cannot forget the topology of {type(arg).__name__}")
 
 
 def fam_pullback(f: FamMorphism, g: FamMorphism):
-    """Pullback of f and g over their common target: pairs with meet values.
+    """Pullback of f and g over their common target: pairs with meet values,
+    listed in the order of their product labels.
 
     Returns (apex, projection along f's source, projection along g's source).
     """
     if f.target != g.target:
         raise BaseMismatch("pullback needs a common target family")
     base = f.source.base
-    ops = lattice_ops(base)
-    values = {}
-    left = {}
-    right = {}
-    for i in f.source.index:
-        for j in g.source.index:
-            if f(i) == g(j):
-                k = product_label((i, j))
-                values[k] = ops.meet(f.source.value(i), g.source.value(j))
-                left[k] = i
-                right[k] = j
-    apex = fam_object(base, values)
+    meet = lattice_ops(base).meet_index
+    pairs = sorted(
+        (product_label((i, j)), a, b)
+        for a, (i, fi) in enumerate(zip(f.source.index, f.positions))
+        for b, (j, gj) in enumerate(zip(g.source.index, g.positions))
+        if fi == gj
+    )
+    x, y = f.source.positions, g.source.positions
+    apex = FamObject(
+        base, tuple(k for k, _, _ in pairs), tuple(meet[x[a]][y[b]] for _, a, b in pairs)
+    )
     return (
         apex,
-        fam_morphism(left, apex, f.source),
-        fam_morphism(right, apex, g.source),
+        FamMorphism(apex, f.source, tuple(a for _, a, _ in pairs)),
+        FamMorphism(apex, g.source, tuple(b for _, _, b in pairs)),
     )
 
 
@@ -142,10 +149,9 @@ def fam_descent_check(f: FamMorphism) -> FamVerdict:
     base = f.source.base
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("descent analysis needs a complete lattice base")
-    ops, index = lattice_ops(base), base.index
-    for j, y in f.target.values:
-        values = sum({1 << index[f.source.value(i)] for i in f.fibre(j)})
-        w = first_unrecovered(ops, index[y], values)
+    ops, bits = lattice_ops(base), [1 << x for x in f.source.positions]
+    for j, y, fibre in zip(f.target.index, f.target.positions, f.fibres):
+        w = first_unrecovered(ops, y, _union(bits, fibre))
         if w is not None:
             return FamVerdict(False, (j, base.points[w]))
     return FamVerdict(True, None)
@@ -192,12 +198,13 @@ def fam_effective_descent_check(f: FamMorphism) -> FamVerdict:
     is_frame = heyting_report(base).is_heyting
     if is_frame:
         shortcut = FamVerdict(True, None, mode="frame-shortcut")
-    ops, index = lattice_ops(base), base.index
+    ops, source = lattice_ops(base), f.source
     witness = None
-    for j in f.target.index:
-        ok, theta = _fibre_effective(ops, [index[f.source.value(i)] for i in f.fibre(j)])
+    for j, fibre in zip(f.target.index, f.fibres):
+        members = [a for a in range(len(source.index)) if fibre >> a & 1]
+        ok, theta = _fibre_effective(ops, [source.positions[a] for a in members])
         if not ok:
-            witness = (j, tuple(zip(f.fibre(j), (base.points[t] for t in theta))))
+            witness = (j, tuple((source.index[a], base.points[t]) for a, t in zip(members, theta)))
             break
     reconstructed = FamVerdict(witness is None, witness, mode="reconstructed")
     if is_frame:

@@ -236,12 +236,7 @@ class CMap:
 
     table = cached_property(lambda self: tuple(self.image.items()))
 
-    @cached_property
-    def fibres(self) -> tuple:
-        out = [0] * len(self.target.points)
-        for a, j in enumerate(self.positions):
-            out[j] |= 1 << a
-        return tuple(out)
+    fibres = cached_property(lambda self: _fibres(self.positions, len(self.target.points)))
 
     def __call__(self, x):
         try:
@@ -260,6 +255,14 @@ class CMap:
 
     def __repr__(self):
         return f"CMap({self.image!r})"
+
+
+def _fibres(positions, size: int) -> tuple:
+    """The mask of each of size targets, with bit a set when positions[a] is that target."""
+    out = [0] * size
+    for a, j in enumerate(positions):
+        out[j] |= 1 << a
+    return tuple(out)
 
 
 def _target_positions(table: dict, source: FiniteSpace, target: FiniteSpace) -> tuple:

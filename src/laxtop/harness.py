@@ -9,7 +9,7 @@ they never abort each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LaxtopError, MeetsMissing, SchemaError
@@ -44,6 +44,7 @@ from .laxcomma import (
     lax_sum,
 )
 from .famx import (
+    FamMorphism,
     fam_descent_check,
     fam_effective_descent_check,
     fam_morphism,
@@ -513,16 +514,13 @@ def _small_fam_morphisms(base, max_size=2):
             families.append(
                 fam_object(base, {f"i{n}": v for n, v in enumerate(values)})
             )
+    up = base.up_masks
     out = []
     for src in families:
         for tgt in families:
-            for images in itertools.product(tgt.index, repeat=len(src.index)):
-                table = dict(zip(src.index, images))
-                if all(
-                    base.leq(src.value(i), tgt.value(table[i]))
-                    for i in src.index
-                ):
-                    out.append(fam_morphism(table, src, tgt))
+            for images in itertools.product(range(len(tgt.index)), repeat=len(src.index)):
+                if all(up[x] >> tgt.positions[j] & 1 for x, j in zip(src.positions, images)):
+                    out.append(FamMorphism(src, tgt, images))
     return out
 
 

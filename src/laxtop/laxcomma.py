@@ -245,9 +245,9 @@ def lax_coequalizer(f: LaxMorphism, g: LaxMorphism) -> LaxCoequalizer:
         union(f.underlying(a), g.underlying(a))
     table = {p: find(p) for p in tgt.space.points}
     quot = induced_space("quotient", tgt.space, table)
-    gamma = lan_extension(tgt.alpha, quot.canonical)
+    gamma = lan_extension(tgt.alpha, quot.canonical)  # verify tests beta <= gamma . q
     obj = LaxObject(quot.space, gamma)
-    return LaxCoequalizer(obj, lax_morphism(quot.canonical, tgt, obj))
+    return LaxCoequalizer(obj, LaxMorphism(quot.canonical, tgt, obj))
 
 
 def lax_compose(outer: LaxMorphism, inner: LaxMorphism) -> LaxMorphism:

@@ -10,9 +10,10 @@ lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Budget, InternalInconsistency, NotT0
-from .finspace import CMap, FiniteSpace, cmap, label_part
+from .finspace import CMap, FiniteSpace, _union, label_part
 from .order import require_meets
 
 
@@ -23,15 +24,18 @@ def set_label(members, point_order) -> str:
 
 @dataclass(frozen=True)
 class VietorisSpace:
+    """V(base): point k of ``space`` is the closed set whose mask is ``closed[k]``,
+    in ``closed_sets()`` order.  Built on first use: ``position``, each mask's
+    point position, and ``members``, the (label, frozenset of points) pairs."""
+
     base: FiniteSpace
     space: FiniteSpace
-    members: tuple  # (label, frozenset of base points) pairs, in point order
+    closed: tuple
 
-    def subset(self, label):
-        return dict(self.members)[label]
-
-    def label_of(self, subset):
-        return set_label(subset, self.base.points)
+    position = cached_property(lambda self: {c: k for k, c in enumerate(self.closed)})
+    members = cached_property(lambda self: tuple(
+        (l, frozenset(self.base.points_at(c))) for l, c in zip(self.space.points, self.closed)
+    ))
 
 
 def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSpace:
@@ -42,45 +46,51 @@ def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSp
     for that order, and each principal down-set must be an intersection of
     subbasic sets.
     """
-    closed = base.closed_sets()
-    Budget("Vietoris order").spend(len(closed) ** 2)
-    labels = tuple(set_label(c, base.points) for c in closed)
-    rows = tuple(sum(1 << j for j, d in enumerate(closed) if c >= d) for c in closed)
+    sets = base.closed_sets()
+    Budget("Vietoris order").spend(len(sets) ** 2)
+    closed = tuple(map(base._mask, sets))
+    labels = tuple(set_label(c, base.points) for c in sets)
+    rows = tuple(sum(1 << j for j, d in enumerate(closed) if c & d == d) for c in closed)
     space = FiniteSpace(labels, rows, provenance="order")
     if check_topology:
-        _check_hit_topology(base, space, dict(zip(labels, closed)))
-    return VietorisSpace(base, space, tuple(zip(labels, closed)))
+        _check_hit_topology(base, space, closed)
+    return VietorisSpace(base, space, closed)
 
 
-def _check_hit_topology(base, space, by_label):
-    hits = {
-        w: frozenset(l for l, c in by_label.items() if c & w)
-        for w in base.open_sets()
+def _check_hit_topology(base, space, closed):
+    full = (1 << len(base.points)) - 1
+    hits = {  # each open mask w, and the mask of the closed sets that meet it
+        w: sum(1 << k for k, c in enumerate(closed) if c & w)
+        for w in (full ^ c for c in closed)
     }
+    down = space.down_masks
     for hit in hits.values():
-        if not space.is_down_closed(hit):
+        if _union(down, hit) != hit:
             raise InternalInconsistency("a hit set is not open for reverse containment")
-    all_labels = frozenset(by_label)
-    for label, c in by_label.items():
-        principal = frozenset(l for l in by_label if space.leq(l, label))
-        inter = all_labels
-        for z in c:
-            inter &= hits[frozenset(base.down(z))]
+    for c, principal in zip(closed, down):
+        inter = (1 << len(closed)) - 1
+        for z, row in enumerate(base.down_masks):
+            if c >> z & 1:
+                inter &= hits[row]
         if inter != principal:
             raise InternalInconsistency(
                 "hit topology does not generate reverse containment"
             )
 
 
+def _closure_map(source: VietorisSpace, target: VietorisSpace, image) -> CMap:
+    """The map taking closed c to the closure of the image[a], a in c; closure
+    and union are monotone, so the map is continuous."""
+    bits, up, at = [1 << j for j in image], target.base.up_masks, target.position
+    closures = (at[_union(up, _union(bits, c))] for c in source.closed)
+    return CMap(source.space, target.space, tuple(closures))
+
+
 def vietoris_functor_map(f: CMap) -> CMap:
     """V(f): closed A goes to the closure of its image."""
     vs = vietoris_space(f.source, check_topology=False)
     vt = vietoris_space(f.target, check_topology=False)
-    table = {
-        label: vt.label_of(f.target.up_closure(f(a) for a in subset))
-        for label, subset in vs.members
-    }
-    return cmap(vs.space, vt.space, table)
+    return _closure_map(vs, vt, f.positions)
 
 
 @dataclass(frozen=True)
@@ -96,46 +106,24 @@ class VietorisMonad:
 def vietoris_monad(base: FiniteSpace) -> VietorisMonad:
     """Unit = closure of a point, multiplication = union; laws verified."""
     v = vietoris_space(base)
-    unit = cmap(
-        base, v.space, {z: v.label_of(base.up_closure([z])) for z in base.points}
-    )
+    unit = CMap(base, v.space, tuple(v.position[up] for up in base.up_masks))
     vv = vietoris_space(v.space, check_topology=False)
-    mult_table = {}
-    for label, family in vv.members:
-        union = frozenset().union(*(v.subset(l) for l in family))
-        mult_table[label] = v.label_of(union)
-    mult = cmap(vv.space, v.space, mult_table)
+    mult = CMap(vv.space, v.space, tuple(v.position[_union(v.closed, c)] for c in vv.closed))
 
-    # left unit: mult . e_V = id on V
-    unit_v = cmap(
-        v.space, vv.space, {l: vv.label_of(v.space.up_closure([l])) for l in v.space.points}
-    )
-    # right unit: mult . V(e) = id on V
-    v_unit = cmap(
-        v.space,
-        vv.space,
-        {
-            label: vv.label_of(
-                v.space.up_closure(unit(z) for z in subset)
-            )
-            for label, subset in v.members
-        },
-    )
-    for l in v.space.points:
-        if mult(unit_v(l)) != l or mult(v_unit(l)) != l:
+    # left unit: mult . e_V = id on V; right unit: mult . V(e) = id on V
+    unit_v = CMap(v.space, vv.space, tuple(vv.position[up] for up in v.space.up_masks))
+    v_unit = _closure_map(v, vv, unit.positions)
+    for l, (left, right) in enumerate(zip(unit_v.positions, v_unit.positions)):
+        if mult.positions[left] != l or mult.positions[right] != l:
             raise InternalInconsistency("a unit law fails for the Vietoris monad")
 
     associativity_checked = False
     if len(vv.space.points) <= _TRIPLE_LAYER_CAP:
         vvv = vietoris_space(vv.space, check_topology=False)
-        for label, bigfamily in vvv.members:
-            # flatten inside VV first, then apply mult
-            flat = frozenset().union(*(vv.subset(l) for l in bigfamily))
-            path1 = mult(vv.label_of(flat))
-            # apply V(mult) first, then mult
-            image = v.space.up_closure(mult(l) for l in bigfamily)
-            path2 = mult(vv.label_of(image))
-            if path1 != path2:
+        # flatten inside VV first, then apply mult; or apply V(mult) first, then mult
+        v_mult = _closure_map(vvv, vv, mult.positions)
+        for c, image in zip(vvv.closed, v_mult.positions):
+            if mult.positions[vv.position[_union(vv.closed, c)]] != mult.positions[image]:
                 raise InternalInconsistency("associativity fails for the Vietoris monad")
         associativity_checked = True
     return VietorisMonad(base, v, vv, unit, mult, associativity_checked)
@@ -159,33 +147,24 @@ def vietoris_algebra_check(base: FiniteSpace) -> AlgebraCheck:
     """Test whether taking meets of closed sets is a monad-algebra structure.
 
     The unit law forces the candidate a(A) = meet of A (top on the empty
-    set); the verdict is whether that map exists, is continuous, and
-    satisfies both algebra laws.
+    set); the verdict is whether that map exists and satisfies both algebra
+    laws.  It is continuous whenever it exists.
     """
     if not base.is_t0():
         raise NotT0("algebra analysis needs a T0 space")
     # meets first: a non-lattice fails here, before the double powerset
-    table = {
-        set_label(c, base.points): require_meets(base, c) for c in base.closed_sets()
-    }
+    meets = [require_meets(base, c) for c in base.closed_sets()]
     monad = vietoris_monad(base)
     v, vv = monad.v, monad.vv
-    structure = cmap(v.space, base, table)
-    for z in base.points:
-        if structure(monad.unit(z)) != z:
-            return AlgebraCheck(False, structure, ("unit", z), v)
+    # a larger closed set has a lower meet
+    structure = CMap(v.space, base, tuple(base.index[m] for m in meets))
+    a = structure.positions
+    for z, u in enumerate(monad.unit.positions):
+        if a[u] != z:
+            return AlgebraCheck(False, structure, ("unit", base.points[z]), v)
     # V(a): a family of closed sets goes to the closure of its meets
-    v_structure = cmap(
-        vv.space,
-        v.space,
-        {
-            label: v.label_of(base.up_closure(structure(l) for l in family))
-            for label, family in vv.members
-        },
-    )
-    for label, family in vv.members:
-        via_mult = structure(monad.mult(label))
-        via_va = structure(v_structure(label))
-        if via_mult != via_va:
-            return AlgebraCheck(False, structure, ("associativity", label), v)
+    v_structure = _closure_map(vv, v, a)
+    for k, (m, image) in enumerate(zip(monad.mult.positions, v_structure.positions)):
+        if a[m] != a[image]:
+            return AlgebraCheck(False, structure, ("associativity", vv.space.points[k]), v)
     return AlgebraCheck(True, structure, None, v)

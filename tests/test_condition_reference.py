@@ -9,7 +9,8 @@ sufficient-only exponentiability report with its implication search, and
 the four subset generators.  Each merged path must give the same verdicts
 and witnesses on an exhaustive universe.  The references read their lifted
 pairs from the label-coded ``reference_pair_lifts``, not from the code
-under test.
+under test, and their families from the label-coded families of
+``test_family_coding_reference``.
 
 The label-coded lattice arithmetic is kept too: ``LatticeOps`` on the
 symmetric label dicts of its report, with its position tables rebuilt from
@@ -54,10 +55,7 @@ from laxtop.famx import (
     FamVerdict,
     fam_descent_check,
     fam_effective_descent_check,
-    fam_morphism,
-    fam_object,
     first_unrecovered,
-    to_fam,
 )
 from laxtop.finspace import build_space, subsets
 from laxtop.harness import (
@@ -79,6 +77,11 @@ from laxtop.order import (
     lattice_report,
 )
 from test_descent_reference import reference_pair_lifts
+from test_family_coding_reference import (
+    fam_morphism_pairs,
+    reference_small_fam_morphisms,
+    reference_to_fam,
+)
 
 
 class ReferenceLatticeOps:
@@ -303,7 +306,7 @@ def reference_laxcomma_effective_descent(f):
             preconditions_checked=tuple(pre),
             notes=("underlying map fails 2-chain lifting",),
         )
-    fam = to_fam(f)
+    fam = reference_to_fam(f)
     fam_desc = reference_fam_descent_check(fam)
     if not fam_desc:
         return DescentReport(
@@ -338,7 +341,7 @@ def reference_forgetful_preservation_check(f):
     ok = True
     if verdict.is_effective is True:
         top_eff = top_effective_descent_check(f.underlying)
-        fam_desc = reference_fam_descent_check(to_fam(f))
+        fam_desc = reference_fam_descent_check(reference_to_fam(f))
         if top_eff.is_effective is not True:
             ok = False
             details.append(("top-effective", False))
@@ -499,9 +502,10 @@ def test_lax_comma_verdicts_match_the_reference(base):
 @pytest.mark.parametrize("base", lattice_bases(3) + (spaces.m3(),), ids=repr)
 def test_fam_descent_matches_the_reference(base):
     refuted = 0
-    for f in _small_fam_morphisms(base, 2):
+    pairs = zip(_small_fam_morphisms(base, 2), reference_small_fam_morphisms(base, 2), strict=True)
+    for f, ref in pairs:
         got = fam_descent_check(f)
-        assert got == reference_fam_descent_check(f), f
+        assert got == reference_fam_descent_check(ref), f
         refuted += got.verdict is False
     assert refuted > 0 or len(base.points) == 1
 
@@ -509,9 +513,10 @@ def test_fam_descent_matches_the_reference(base):
 def test_fam_descent_refuses_a_base_that_is_not_a_complete_lattice():
     for base in posets_up_to(3):
         if not lattice_report(base).is_complete_lattice:
-            for f in _small_fam_morphisms(base, 1):
+            new, ref = _small_fam_morphisms(base, 1), reference_small_fam_morphisms(base, 1)
+            for f, ref in zip(new, ref, strict=True):
                 got = _outcome(fam_descent_check, f)
-                assert got == _outcome(reference_fam_descent_check, f)
+                assert got == _outcome(reference_fam_descent_check, ref)
                 assert got[0] is NotALattice
 
 
@@ -647,27 +652,6 @@ def _charged(check, *args):
     return _outcome(check, *args), _Charges.log
 
 
-def _fam_morphisms(base, source_size, target_size):
-    """Every family morphism over base whose source index has at most
-    source_size elements and whose target index has at most target_size."""
-
-    def families(most):
-        return [
-            fam_object(base, {f"i{n}": v for n, v in enumerate(values)})
-            for size in range(1, most + 1)
-            for values in itertools.product(base.points, repeat=size)
-        ]
-
-    out = []
-    for src in families(source_size):
-        for tgt in families(target_size):
-            for images in itertools.product(tgt.index, repeat=len(src.index)):
-                table = dict(zip(src.index, images))
-                if all(base.leq(src.value(i), tgt.value(table[i])) for i in src.index):
-                    out.append(fam_morphism(table, src, tgt))
-    return out
-
-
 @pytest.mark.parametrize("cap", [None, "8"])
 @pytest.mark.parametrize("base", lattice_bases(4) + NON_FRAMES, ids=repr)
 def test_family_checks_match_the_label_coded_checks(base, cap, monkeypatch):
@@ -676,13 +660,13 @@ def test_family_checks_match_the_label_coded_checks(base, cap, monkeypatch):
     if cap:
         monkeypatch.setenv("LAXTOP_CAP", cap)  # stops the larger theta searches
     kinds = set()
-    for f in _fam_morphisms(base, 3, 2):
+    for f, ref in fam_morphism_pairs(base, 3, 2):
         for check, reference in (
             (fam_descent_check, reference_fam_descent_check),
             (fam_effective_descent_check, reference_fam_effective_descent_check),
         ):
             got = _charged(check, f)
-            assert got == _charged(reference, f), (check.__name__, f)
+            assert got == _charged(reference, ref), (check.__name__, f)
             verdict = got[0]
             kinds.add((verdict.mode, verdict.verdict) if isinstance(verdict, FamVerdict) else verdict[0])
     if len(base.points) > 1:

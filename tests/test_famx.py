@@ -20,56 +20,78 @@ S = spaces.sierpinski()
 M3 = spaces.m3()
 
 
+def table(f):
+    """The index dict of a family morphism."""
+    return {i: f.target.index[j] for i, j in zip(f.source.index, f.positions)}
+
+
 def test_fam_object_validates_values():
-    fam = fam_object(S, {"i": "0", "j": "1"})
-    assert fam.value("i") == "0"
-    with pytest.raises(BaseMismatch):
+    fam = fam_object(S, {"j": "1", "i": "0"})
+    assert fam.index == ("i", "j") and fam.positions == (0, 1)
+    assert fam.values == (("i", "0"), ("j", "1"))
+    with pytest.raises(BaseMismatch, match="family value '2' is not a base point"):
         fam_object(S, {"i": "2"})
 
 
 def test_fam_object_values_must_be_total():
     # checked by a raise, not an assert, so that it holds under python -O
     with pytest.raises(UnknownLabel):
-        FamObject(spaces.chain(2), ("i", "j"), (("i", "0"),))
+        FamObject(spaces.chain(2), ("i", "j"), (0,))
     with pytest.raises(UnknownLabel):
-        FamObject(spaces.chain(2), ("i", "j"), (("j", "0"), ("i", "1")))
+        FamObject(spaces.chain(2), ("i",), (0, 1))
+    with pytest.raises(BaseMismatch):
+        FamObject(spaces.chain(2), ("i",), (2,))  # no such base position
 
 
 def test_fam_morphism_must_move_values_up():
     src = fam_object(S, {"i": "0"})
     tgt = fam_object(S, {"j": "1"})
     f = fam_morphism({"i": "j"}, src, tgt)
-    assert f("i") == "j"
-    assert f.fibre("j") == ["i"]
+    assert f.positions == (0,) and table(f) == {"i": "j"}
+    assert f.fibres == (0b1,)
     with pytest.raises(BaseMismatch):
         fam_morphism({"j": "i"}, tgt, src)  # 1 is not below 0
+
+
+def test_fam_morphism_reports_the_first_bad_index_element():
+    src = fam_object(S, {"i": "1", "k": "0"})
+    tgt = fam_object(S, {"j": "0"})
+    with pytest.raises(BaseMismatch, match="value at 'i' is not below its image value"):
+        fam_morphism({"i": "j", "k": "x"}, src, tgt)
+    with pytest.raises(BaseMismatch, match="index 'i' maps outside the target index set"):
+        fam_morphism({"i": "x", "k": "j"}, src, tgt)
+    for outside in (-1, 1):
+        with pytest.raises(BaseMismatch, match="index 'i' maps outside"):
+            FamMorphism(src, tgt, (outside, 0))
+    with pytest.raises(BaseMismatch, match="different bases"):  # before totality
+        fam_morphism({}, src, fam_object(M3, {"j": "a"}))
 
 
 def test_fam_morphism_must_cover_the_source_index_in_order():
     src = fam_object(S, {"i": "0", "k": "0"})
     tgt = fam_object(S, {"j": "1"})
     with pytest.raises(UnknownLabel):
-        FamMorphism((("i", "j"),), src, tgt)  # misses k
+        FamMorphism(src, tgt, (0,))  # misses k
     with pytest.raises(UnknownLabel):
         fam_morphism({"i": "j"}, src, tgt)
     with pytest.raises(UnknownLabel):
-        FamMorphism((("k", "j"), ("i", "j")), src, tgt)  # out of order
-    with pytest.raises(UnknownLabel):
-        FamMorphism((("i", "j"), ("k", "j"), ("z", "j")), src, tgt)
+        FamMorphism(src, tgt, (0, 0, 0))
     with pytest.raises(UnknownLabel):
         fam_morphism({"i": "j", "k": "j", "z": "j"}, src, tgt)
+    with pytest.raises(UnknownLabel):
+        fam_morphism({"i": "j", "z": "j"}, src, tgt)  # as many elements, not the index
     f = fam_morphism({"k": "j", "i": "j"}, src, tgt)  # listed in index order
-    assert f.map == (("i", "j"), ("k", "j"))
+    assert f.positions == (0, 0) and f.fibres == (0b11,)
 
 
 def test_to_fam_forgets_topology():
     a = lax_object(spaces.chain(2), S, {"0": "0", "1": "1"})
     fam = to_fam(a)
-    assert fam.value("0") == "0" and fam.value("1") == "1"
+    assert dict(fam.values) == {"0": "0", "1": "1"}
     b = lax_object(spaces.point(), S, {"*": "1"})
     m = lax_morphism(cmap(a.space, b.space, {"0": "*", "1": "*"}), a, b)
     fm = to_fam(m)
-    assert fm("0") == "*" and fm("1") == "*"
+    assert table(fm) == {"0": "*", "1": "*"}
 
 
 def test_fam_pullback_takes_meets():
@@ -77,8 +99,8 @@ def test_fam_pullback_takes_meets():
     f = fam_morphism({"a": "j"}, fam_object(S, {"a": "0"}), tgt)
     g = fam_morphism({"b": "j"}, fam_object(S, {"b": "1"}), tgt)
     apex, pf, pg = fam_pullback(f, g)
-    assert apex.value("(a,b)") == "0"
-    assert pf("(a,b)") == "a" and pg("(a,b)") == "b"
+    assert apex.values == (("(a,b)", "0"),)
+    assert table(pf) == {"(a,b)": "a"} and table(pg) == {"(a,b)": "b"}
 
 
 def test_fam_pullback_keeps_pairs_of_indices_with_commas_apart():
@@ -87,8 +109,10 @@ def test_fam_pullback_keeps_pairs_of_indices_with_commas_apart():
     g = fam_morphism({"b,c": "j", "c": "j"}, fam_object(S, {"b,c": "1", "c": "1"}), tgt)
     apex, pf, pg = fam_pullback(f, g)
     assert len(apex.index) == 4
-    assert apex.value('("a,b",c)') == "1" and apex.value('(a,"b,c")') == "0"
-    assert pf('("a,b",c)') == "a,b" and pg('(a,"b,c")') == "b,c"
+    assert apex.index == tuple(sorted(apex.index))  # as fam_object lists it
+    values = dict(apex.values)
+    assert values['("a,b",c)'] == "1" and values['(a,"b,c")'] == "0"
+    assert table(pf)['("a,b",c)'] == "a,b" and table(pg)['(a,"b,c")'] == "b,c"
 
 
 def test_fam_descent_check():

@@ -87,7 +87,8 @@ def test_fam_morphism_from_dict():
         "map": {"i": "j"},
     }
     f = fam_morphism_from_dict(data)
-    assert f("i") == "j"
+    assert f.source.index == ("i",) and f.target.index == ("j",)
+    assert f.positions == (0,)
 
 
 def test_parallel_pair_from_dict():

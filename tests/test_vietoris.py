@@ -33,6 +33,11 @@ def test_set_labels_of_labels_with_commas_stay_apart():
 
 def test_vietoris_of_sierpinski_is_three_chain():
     v = vietoris_space(spaces.sierpinski())
+    assert v.closed == (0b11, 0b10, 0b00)  # closed_sets() order
+    assert v.members == (
+        ("{0,1}", frozenset({"0", "1"})), ("{1}", frozenset({"1"})), ("{}", frozenset())
+    )
+    assert v.position == {0b11: 0, 0b10: 1, 0b00: 2}
     assert set(v.space.points) == {"{}", "{1}", "{0,1}"}
     # reverse containment: larger closed sets are lower
     assert v.space.leq("{0,1}", "{1}")
@@ -64,8 +69,12 @@ def test_monad_unit_is_point_closure():
 def test_monad_mult_is_union():
     monad = vietoris_monad(spaces.sierpinski())
     v, vv = monad.v, monad.vv
-    family = vv.label_of(v.space.up_closure(["{1}"]))
+    family = set_label(v.space.up_closure(["{1}"]), v.space.points)
+    assert family in vv.space.points
     assert monad.mult(family) == "{1}"
+    # on positions: the family of V-points is a mask, and mult is its union
+    assert vv.closed[vv.space.index[family]] == 0b110  # V-points 1 and 2: {1} and {}
+    assert v.closed[monad.mult.positions[vv.space.index[family]]] == 0b10
 
 
 def test_algebra_on_complete_lattices():
