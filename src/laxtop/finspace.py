@@ -139,12 +139,11 @@ class FiniteSpace:
 
     def open_sets(self):
         """All open (= down-closed) subsets, deterministically ordered."""
-        return _down_sets(self)
+        return tuple(frozenset(self.points_at(m)) for m in _down_sets(self))
 
     def closed_sets(self):
-        """All closed (= up-closed) subsets, deterministically ordered."""
-        full = frozenset(self.points)
-        return tuple(full - o for o in _down_sets(self))
+        """All closed (= up-closed) subsets, the complements of the open ones in their order."""
+        return tuple(frozenset(self.points_at(c)) for c in _closed_masks(self))
 
     def check_labels(self, subset):
         index = self.index
@@ -190,7 +189,8 @@ def _restricted_rows(rows, at) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _down_sets(space: FiniteSpace):
-    """Every down-closed subset of the space, sorted by (size, membership).
+    """The mask of every down-closed subset of the space, sorted by size,
+    then by the sorted labels of its members.
 
     Output-sensitive: points are processed along a linear extension, and each
     existing down-set is extended by the new point exactly when its strict
@@ -208,9 +208,14 @@ def _down_sets(space: FiniteSpace):
         need = below[r]
         bit = classes[r]
         masks.extend([m | bit for m in masks if m & need == need])
-    result = [frozenset(space.points_at(mask)) for mask in masks]
-    result.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(result)
+    masks.sort(key=lambda m: (m.bit_count(), sorted(space.points_at(m))))
+    return tuple(masks)
+
+
+def _closed_masks(space: FiniteSpace) -> tuple:
+    """The mask of every up-closed subset, the complements of the down masks in their order."""
+    full = (1 << len(space.points)) - 1
+    return tuple(full ^ m for m in _down_sets(space))
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,7 @@ def cmap(source: FiniteSpace, target: FiniteSpace, table) -> CMap:
 
 
 def identity_map(space: FiniteSpace) -> CMap:
-    return cmap(space, space, {p: p for p in space.points})
+    return CMap(space, space, tuple(range(len(space.points))))
 
 
 def is_monotone(image, rows, target_rows) -> bool:
@@ -355,14 +360,14 @@ def build_space(points, opens=None, order=None, name="") -> FiniteSpace:
         if a & b not in fam:
             raise NotATopology("family not closed under intersection", offending=(a, b))
 
-    masks = [sum(1 << seen[x] for x in o) for o in family]
+    masks = {sum(1 << seen[x] for x in o) for o in family}
     n = len(points)
     rows = tuple(  # x <= y iff every open set holding y holds x
         sum(1 << j for j in range(n) if all(m >> i & 1 for m in masks if m >> j & 1))
         for i in range(n)
     )
     space = FiniteSpace(points, rows, provenance="opens", name=name)
-    if set(space.open_sets()) != fam:
+    if set(_down_sets(space)) != masks:
         # cannot happen for a genuine finite topology; guards invalid input
         raise NotATopology("open family does not match its own natural order")
     return space
@@ -382,14 +387,11 @@ class T0Report:
 
 def t0_report(space: FiniteSpace) -> T0Report:
     """Quotient by x<=y<=x; class representatives are lexicographic minima."""
-    rep = {
-        x: min(space.points_at(u & d))
-        for x, u, d in zip(space.points, space.up_masks, space.down_masks)
-    }
-    classes = sorted(set(rep.values()))
+    reps = [min(space.points_at(u & d)) for u, d in zip(space.up_masks, space.down_masks)]
+    classes = sorted(set(reps))
     rows = _restricted_rows(space.up_masks, [space.index[c] for c in classes])
     reflection = FiniteSpace(tuple(classes), rows, provenance="order")
-    eta = cmap(space, reflection, rep)
+    eta = CMap(space, reflection, tuple(reflection.index[r] for r in reps))
     return T0Report(space.is_t0(), reflection, eta)
 
 
@@ -453,8 +455,8 @@ def product_space(spaces) -> SpaceWithMaps:
     (c, x) holds the row of x once at the place of each point above c.
     """
     spaces = list(spaces)
-    combos = list(itertools.product(*(s.points for s in spaces)))
-    labels = tuple(product_label(c) for c in combos)
+    combos = list(itertools.product(*(range(len(s.points)) for s in spaces)))
+    labels = tuple(product_label(s.points[j] for s, j in zip(spaces, c)) for c in combos)
     rows = [1]  # the one point of the empty product
     for s in spaces:
         width = len(s.points)
@@ -465,8 +467,7 @@ def product_space(spaces) -> SpaceWithMaps:
         ]
     prod = FiniteSpace(labels, tuple(rows), provenance="order")
     projections = tuple(
-        cmap(prod, s, {lab: c[i] for lab, c in zip(labels, combos)})
-        for i, s in enumerate(spaces)
+        CMap(prod, s, tuple(c[i] for c in combos)) for i, s in enumerate(spaces)
     )
     return SpaceWithMaps(prod, projections)
 
@@ -477,14 +478,13 @@ def sum_space(spaces) -> SpaceWithMaps:
     labels = []
     for i, s in enumerate(spaces):
         labels.extend(f"in{i}:{p}" for p in s.points)
-    rows, offset = [], 0
+    rows, offsets = [], []
     for s in spaces:
-        rows.extend(up << offset for up in s.up_masks)
-        offset += len(s.points)
+        offsets.append(len(rows))
+        rows.extend(up << offsets[-1] for up in s.up_masks)
     total = FiniteSpace(tuple(labels), tuple(rows), provenance="order")
     injections = tuple(
-        cmap(s, total, {p: f"in{i}:{p}" for p in s.points})
-        for i, s in enumerate(spaces)
+        CMap(s, total, tuple(range(k, k + len(s.points)))) for s, k in zip(spaces, offsets)
     )
     return SpaceWithMaps(total, injections)
 
@@ -501,10 +501,7 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
         data = tuple(data)
         base.check_labels(data)
         chosen = set(data)
-        at = [i for i, p in enumerate(base.points) if p in chosen]
-        pts = tuple(base.points[i] for i in at)
-        sub = FiniteSpace(pts, _restricted_rows(base.up_masks, at), provenance="order")
-        return InducedSpace(sub, cmap(sub, base, {p: p for p in pts}))
+        return _subspace(base, [i for i, p in enumerate(base.points) if p in chosen])
     if kind == "quotient":
         table = dict(data)
         base.check_labels(table.keys())
@@ -517,6 +514,13 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
         quot = FiniteSpace(tuple(values), rows, provenance="opens")
         return InducedSpace(quot, CMap(base, quot, positions))
     raise ValueError(f"unknown induced-space kind {kind!r}")
+
+
+def _subspace(base: FiniteSpace, at) -> InducedSpace:
+    """The subspace on the increasing positions at, with its inclusion."""
+    pts = tuple(base.points[i] for i in at)
+    sub = FiniteSpace(pts, _restricted_rows(base.up_masks, at), provenance="order")
+    return InducedSpace(sub, CMap(sub, base, tuple(at)))
 
 
 def _final_rows(source: FiniteSpace, image, width: int) -> tuple:
@@ -546,14 +550,14 @@ def sober_report(space: FiniteSpace) -> SoberReport:
     """List irreducible closed sets with generic points, by enumeration."""
     if not space.is_t0():
         raise NotT0("sober_report requires a T0 space")
-    closeds = [c for c in space.closed_sets() if c]
-    out = []
+    closeds = [c for c in _closed_masks(space) if c]
+    up, out = space.up_masks, []
     for c in closeds:
-        proper = [d for d in closeds if d < c]
-        reducible = any(d1 | d2 == c for d1 in proper for d2 in proper)
-        if reducible:
+        proper = [d for d in closeds if d & c == d != c]
+        if any(d1 | d2 == c for d1 in proper for d2 in proper):
             continue
-        out.append((c, next((x for x in sorted(c) if space.up(x) == c), None)))
+        # the generic point of c is the one whose closure, its up mask, is c
+        out.append((frozenset(space.points_at(c)), space.points[up.index(c)] if c in up else None))
     out.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
     return SoberReport(all(g is not None for (_, g) in out), tuple(out))
 

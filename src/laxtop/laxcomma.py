@@ -28,6 +28,7 @@ from .finspace import (
     CMap,
     FiniteSpace,
     _monotone_tables,
+    _subspace,
     _union,
     cmap,
     enumerate_cmaps,
@@ -44,7 +45,7 @@ from .order import (
     lattice_ops,
     lattice_report,
     mask_folds,
-    require_meets,
+    require_meet,
 )
 
 
@@ -149,8 +150,8 @@ def lax_equalizer(f: LaxMorphism, g: LaxMorphism) -> LaxEqualizer:
     if f.source != g.source or f.target != g.target:
         raise NotParallel("equalizer needs a parallel pair")
     src = f.source
-    agree = [a for a in src.space.points if f.underlying(a) == g.underlying(a)]
-    sub = induced_space("subspace", src.space, agree)
+    pairs = enumerate(zip(f.underlying.positions, g.underlying.positions))
+    sub = _subspace(src.space, [a for a, (x, y) in pairs if x == y])
     obj = LaxObject(sub.space, src.alpha.compose(sub.canonical))
     return LaxEqualizer(obj, LaxMorphism(sub.canonical, obj, src))
 
@@ -168,14 +169,11 @@ def lax_product(objects, base=None) -> LaxProduct:
     if common is None:
         raise BaseMismatch("empty product needs an explicit base")
     prod = product_space([o.space for o in objects])
-    alpha = {}
-    for combo, label in zip(
-        itertools.product(*(o.space.points for o in objects)),
-        prod.space.points,
-    ):
-        family = [o.value(p) for o, p in zip(objects, combo)]
-        alpha[label] = require_meets(common, family)
-    obj = lax_object(prod.space, common, alpha)
+    # the points of the product come in the order of their coordinates
+    values = itertools.product(*(o.alpha.positions for o in objects))
+    alpha = tuple(require_meet(common, v) for v in values)
+    # a meet of monotone maps is monotone
+    obj = LaxObject(prod.space, CMap(prod.space, common, alpha))
     projections = tuple(
         LaxMorphism(proj, obj, o) for proj, o in zip(prod.maps, objects)
     )
@@ -226,25 +224,16 @@ def lax_coequalizer(f: LaxMorphism, g: LaxMorphism) -> LaxCoequalizer:
     if f.source != g.source or f.target != g.target:
         raise NotParallel("coequalizer needs a parallel pair")
     tgt = f.target
-    # partition the target points by the equivalence generated by f(a) ~ g(a)
-    parent = {p: p for p in tgt.space.points}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            lo, hi = min(rp, rq), max(rp, rq)
-            parent[hi] = lo
-
-    for a in f.source.space.points:
-        union(f.underlying(a), g.underlying(a))
-    table = {p: find(p) for p in tgt.space.points}
-    quot = induced_space("quotient", tgt.space, table)
+    # the class mask of each target position under the equivalence generated by f(a) ~ g(a)
+    classes = [1 << j for j in range(len(tgt.space.points))]
+    for i, j in zip(f.underlying.positions, g.underlying.positions):
+        merged = classes[i] | classes[j]
+        for k in range(len(classes)):
+            if merged >> k & 1:
+                classes[k] = merged
+    # each class is named by its least label
+    names = [min(tgt.space.points_at(c)) for c in classes]
+    quot = induced_space("quotient", tgt.space, zip(tgt.space.points, names))
     gamma = lan_extension(tgt.alpha, quot.canonical)  # verify tests beta <= gamma . q
     obj = LaxObject(quot.space, gamma)
     return LaxCoequalizer(obj, LaxMorphism(quot.canonical, tgt, obj))
@@ -332,8 +321,10 @@ def exponential_object(a_obj: LaxObject, b_obj: LaxObject) -> Exponential:
     if a_obj.base != b_obj.base:
         raise BaseMismatch("objects live over different bases")
     base = a_obj.base
-    hey = heyting_report(base)  # raises NoMeets when binary meets are absent
-    imp = dict(hey.implication_table)
+    index = base.index
+    imp = {  # raises NoMeets when binary meets are absent
+        (index[x], index[y]): index[z] for (x, y), z in heyting_report(base).implication_table
+    }
     maps = enumerate_cmaps(a_obj.space, b_obj.space)
     labels = tuple(function_label(h.table) for h in maps)
     up = b_obj.space.up_masks
@@ -346,26 +337,21 @@ def exponential_object(a_obj: LaxObject, b_obj: LaxObject) -> Exponential:
         for h in maps
     )
     exp_space = FiniteSpace(labels, rows, provenance="order")
-    delta = {}
-    for lab, h in zip(labels, maps):
+    alpha, beta, delta = a_obj.alpha.positions, b_obj.alpha.positions, []
+    for h in maps:  # δ(h) is the meet over a of α(a) => β(h(a))
         parts = []
-        for a in a_obj.space.points:
-            pair = (a_obj.value(a), b_obj.value(h(a)))
-            if pair not in imp:
+        for x, j in zip(alpha, h.positions):
+            if (x, beta[j]) not in imp:
+                pair = (base.points[x], base.points[beta[j]])
                 raise NotHeyting(f"missing implication for {pair}", pair=pair)
-            parts.append(imp[pair])
-        delta[lab] = require_meets(base, parts)
-    exp_obj = lax_object(exp_space, base, delta)
+            parts.append(imp[x, beta[j]])
+        delta.append(require_meet(base, parts))
+    # δ is monotone in h: a larger h has larger values β(h(a)), so larger implications
+    exp_obj = LaxObject(exp_space, CMap(exp_space, base, tuple(delta)))
 
-    product = lax_product([a_obj, exp_obj])
-    ev_table = {
-        product_label((a, lab)): h(a)
-        for a in a_obj.space.points
-        for lab, h in zip(labels, maps)
-    }
-    evaluation = lax_morphism(
-        cmap(product.obj.space, b_obj.space, ev_table), product.obj, b_obj
-    )
+    product = lax_product([a_obj, exp_obj])  # its point (a, h) is evaluated at h(a)
+    ev = tuple(h.positions[a] for a in range(len(alpha)) for h in maps)
+    evaluation = lax_morphism(CMap(product.obj.space, b_obj.space, ev), product.obj, b_obj)
     return Exponential(exp_obj, evaluation, product.obj, tuple(zip(labels, maps)))
 
 
@@ -686,11 +672,9 @@ class Filtration:
 
 
 def is_chain(space: FiniteSpace) -> bool:
-    return space.is_t0() and all(
-        space.leq(x, y) or space.leq(y, x)
-        for x in space.points
-        for y in space.points
-    )
+    """T0, and every point comparable with every point: its up and down masks cover the space."""
+    full = (1 << len(space.points)) - 1
+    return space.is_t0() and all(u | d == full for u, d in zip(space.up_masks, space.down_masks))
 
 
 def chain_filtration(direction: str, data):
@@ -700,14 +684,10 @@ def chain_filtration(direction: str, data):
         base = obj.base
         if not is_chain(base):
             raise NotAChain("filtrations require a chain base")
+        fibres = obj.alpha.fibres  # the level at u holds the points whose value is above u
         levels = tuple(
-            (
-                u,
-                frozenset(
-                    a for a in obj.space.points if base.leq(u, obj.value(a))
-                ),
-            )
-            for u in base.points
+            (u, frozenset(obj.space.points_at(_union(fibres, up))))
+            for u, up in zip(base.points, base.up_masks)
         )
         return Filtration(base, obj.space, levels)
     if direction == "from":
@@ -718,8 +698,10 @@ def chain_filtration(direction: str, data):
         levels = dict(filt.levels)
         if set(levels) != set(base.points):
             raise NotClosedLevel("filtration must assign a level to every base point")
-        bottom = next(u for u in base.points if all(base.leq(u, v) for v in base.points))
-        if levels[bottom] != frozenset(filt.space.points):
+        # the bottom is the point below every point; the empty chain has none and no points
+        full = (1 << len(base.points)) - 1
+        bottom = next((u for u, up in zip(base.points, base.up_masks) if up == full), None)
+        if levels.get(bottom, frozenset()) != frozenset(filt.space.points):
             raise NotClosedLevel("bottom level must be the whole space")
         for u, s in levels.items():
             if not filt.space.is_up_closed(s):

@@ -204,13 +204,14 @@ def order_to_space(order: FiniteSpace, which: str) -> FiniteSpace:
     if which == "alexandroff":
         closed = set(order.closed_sets())
     elif which == "scott":
+        index, down = order.index, order.down_masks
         closed = set()
         for s in order.closed_sets():
-            if all(
-                _infimum(order, sub) in s
-                for sub in subsets(s)
-                if _is_codirected(order, sub) and _infimum(order, sub) is not None
-            ):
+            meets = (  # of the codirected subsets, where they exist
+                meet_position(order, [down[index[x]] for x in sub])
+                for sub in subsets(s) if _is_codirected(order, sub)
+            )
+            if all(m is None or order.points[m] in s for m in meets):
                 closed.add(s)
     elif which == "lower":
         # subbasis {up(a)}; close under intersection, then under union
@@ -248,11 +249,6 @@ class HeytingReport:
     is_heyting: bool
     implication_table: tuple  # ((x, y), z) pairs, partial
     failure_witness: object  # (x, y) or None
-
-    implications = cached_property(lambda self: dict(self.implication_table))
-
-    def imp(self, x, y):
-        return self.implications.get((x, y))
 
     def to_json_dict(self):
         return {
@@ -298,15 +294,6 @@ class DistributivityReport:
     is_op_continuous_lattice: bool
     is_completely_distributive: bool
     witnesses: tuple
-
-    way_above_pairs = cached_property(lambda self: frozenset(self.way_above_table))
-    totally_below_pairs = cached_property(lambda self: frozenset(self.totally_below_table))
-
-    def way_above(self, x, y):
-        return (x, y) in self.way_above_pairs
-
-    def totally_below(self, v, u):
-        return (v, u) in self.totally_below_pairs
 
     def to_json_dict(self):
         return {
@@ -404,23 +391,38 @@ def _pair_table(space, masks) -> tuple:
     ))
 
 
-def _infimum(space, family):
-    """The greatest lower bound of a family of labels, or None.
+def meet_position(space: FiniteSpace, downs):
+    """The position of the meet of the points whose down masks are downs, or None.
 
-    Its lower bounds are the AND of the members' down masks (none for a
-    label outside the space).
+    Their lower bounds are the AND of those masks (every point for none),
+    and the meet is the point whose down mask that AND is.
     """
-    index, down = space.index, space.down_masks
     lower = (1 << len(space.points)) - 1
-    for x in family:
-        lower &= down[index[x]] if x in index else 0
-    return _extreme(space, down, lower)
+    for d in downs:
+        lower &= d
+    return space.down_masks.index(lower) if lower in space.down_masks else None
+
+
+def _meets_missing(family) -> MeetsMissing:
+    """The error naming a family of labels that has no infimum."""
+    family = tuple(family)
+    return MeetsMissing(f"no infimum for family {sorted(family)}", family=family)
+
+
+def require_meet(space: FiniteSpace, positions) -> int:
+    """The position of the meet of the points at positions; MeetsMissing names them."""
+    m = meet_position(space, [space.down_masks[i] for i in positions])
+    if m is None:
+        raise _meets_missing(space.points[i] for i in positions)
+    return m
 
 
 def require_meets(space: FiniteSpace, family):
-    """The meet of a family, raising MeetsMissing with the family if absent."""
+    """The meet of a family of labels, raising MeetsMissing with the family if
+    absent; a label outside the space is a point with no lower bound."""
     family = list(family)
-    m = _infimum(space, family)
+    index, down = space.index, space.down_masks
+    m = meet_position(space, [down[index[x]] if x in index else 0 for x in family])
     if m is None:
-        raise MeetsMissing(f"no infimum for family {sorted(family)}", family=tuple(family))
-    return m
+        raise _meets_missing(family)
+    return space.points[m]

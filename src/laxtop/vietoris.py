@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Budget, InternalInconsistency, NotT0
-from .finspace import CMap, FiniteSpace, _union, label_part
+from .finspace import CMap, FiniteSpace, _closed_masks, _union, label_part
 from .order import require_meets
 
 
@@ -46,10 +46,9 @@ def vietoris_space(base: FiniteSpace, check_topology: bool = True) -> VietorisSp
     for that order, and each principal down-set must be an intersection of
     subbasic sets.
     """
-    sets = base.closed_sets()
-    Budget("Vietoris order").spend(len(sets) ** 2)
-    closed = tuple(map(base._mask, sets))
-    labels = tuple(set_label(c, base.points) for c in sets)
+    closed = _closed_masks(base)
+    Budget("Vietoris order").spend(len(closed) ** 2)
+    labels = tuple(set_label(base.points_at(c), base.points) for c in closed)
     rows = tuple(sum(1 << j for j, d in enumerate(closed) if c & d == d) for c in closed)
     space = FiniteSpace(labels, rows, provenance="order")
     if check_topology:

@@ -141,6 +141,126 @@ def test_construct_coequalizer(tmp_path):
     assert list(payload["result"]["alpha"].values()) == ["2"]
 
 
+C3_DICT = {
+    "name": "C3",
+    "points": ["0", "1", "2"],
+    "topology": {"kind": "order", "le": [["0", "1"], ["0", "2"], ["1", "2"]]},
+}
+
+
+def _object(space, alpha):
+    return {"space": space_to_dict(space), "alpha": alpha}
+
+
+@pytest.mark.parametrize(
+    "kind, data, payload",
+    [
+        (
+            "sum",
+            {
+                "base": space_to_dict(spaces.chain(3)),
+                "objects": [
+                    _object(spaces.point(), {"*": "1"}),
+                    _object(spaces.chain(2), {"0": "0", "1": "2"}),
+                ],
+            },
+            {
+                "construction": "sum",
+                "result": {
+                    "alpha": {"in0:*": "1", "in1:0": "0", "in1:1": "2"},
+                    "base": C3_DICT,
+                    "space": {
+                        "name": "",
+                        "points": ["in0:*", "in1:0", "in1:1"],
+                        "topology": {"kind": "order", "le": [["in1:0", "in1:1"]]},
+                    },
+                },
+                "verified": "no oracle for this construction",
+            },
+        ),
+        (
+            "equalizer",
+            {
+                "base": space_to_dict(spaces.chain(3)),
+                "source": _object(spaces.antichain(2), {"0": "0", "1": "1"}),
+                "target": _object(spaces.chain(2), {"0": "1", "1": "2"}),
+                "f": {"0": "0", "1": "1"},
+                "g": {"0": "0", "1": "0"},
+            },
+            {
+                "construction": "equalizer",
+                "result": {
+                    "alpha": {"0": "0"},
+                    "base": C3_DICT,
+                    "space": {"name": "", "points": ["0"], "topology": {"kind": "order", "le": []}},
+                },
+                "verified": "no oracle for this construction",
+            },
+        ),
+        (
+            "exponential",
+            {
+                "base": space_to_dict(spaces.sierpinski()),
+                "a": _object(spaces.point(), {"*": "1"}),
+                "b": _object(spaces.chain(2), {"0": "0", "1": "1"}),
+            },
+            {
+                "construction": "exponential",
+                "oracle_checked": 9,
+                "result": {
+                    "alpha": {"{*:0}": "0", "{*:1}": "1"},
+                    "base": {
+                        "name": "S",
+                        "points": ["0", "1"],
+                        "topology": {"kind": "order", "le": [["0", "1"]]},
+                    },
+                    "space": {
+                        "name": "",
+                        "points": ["{*:0}", "{*:1}"],
+                        "topology": {"kind": "order", "le": [["{*:0}", "{*:1}"]]},
+                    },
+                },
+                "verified": True,
+            },
+        ),
+        (
+            "lift",
+            {
+                "base": space_to_dict(spaces.chain(3)),
+                "space": space_to_dict(spaces.chain(2)),
+                "legs": [
+                    {"target": _object(spaces.point(), {"*": "1"}), "map": {"0": "*", "1": "*"}},
+                    {
+                        "target": _object(spaces.chain(2), {"0": "1", "1": "2"}),
+                        "map": {"0": "0", "1": "1"},
+                    },
+                ],
+            },
+            {
+                "construction": "lift",
+                "oracle_checked": 60,
+                "result": {
+                    "alpha": {"0": "1", "1": "1"},
+                    "base": C3_DICT,
+                    "space": {
+                        "name": "C2",
+                        "points": ["0", "1"],
+                        "topology": {"kind": "order", "le": [["0", "1"]]},
+                    },
+                },
+                "verified": True,
+            },
+        ),
+    ],
+)
+def test_construct_verified_outputs_keep_their_bytes(tmp_path, kind, data, payload):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(to_json(data))
+    code, out = run(["construct", kind, str(path), "--verify", "--json"])
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_descent_top_category(tmp_path):
     from laxtop.finspace import build_space
 

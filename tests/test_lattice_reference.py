@@ -376,17 +376,12 @@ def test_accessors_match_the_rebuilt_lookups(universe):
             assert lattice.join(x, y) == joins.get((x, y), joins.get((y, x)))
         reports = [(lattice, twin)]
         if lattice.is_meet_semilattice:
-            hey = order.heyting_report(s)
-            for x, y in itertools.product(labels, repeat=2):
-                assert hey.imp(x, y) == dict(hey.implication_table).get((x, y))
-            reports.append((hey, order.heyting_report.__wrapped__(s)))
+            reports.append((order.heyting_report(s), order.heyting_report.__wrapped__(s)))
         if lattice.is_complete_lattice:
-            dist = order.distributivity_report(s)
-            for x, y in itertools.product(labels, repeat=2):
-                assert dist.way_above(x, y) == ((x, y) in set(dist.way_above_table))
-                assert dist.totally_below(x, y) == ((x, y) in set(dist.totally_below_table))
-            reports.append((dist, order.distributivity_report.__wrapped__(s)))
+            reports.append(
+                (order.distributivity_report(s), order.distributivity_report.__wrapped__(s))
+            )
         for used, fresh in reports:  # the lookups take no part in the value
             assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
             assert used.to_json_dict() == fresh.to_json_dict()
-            assert len(vars(used)) > len(vars(fresh))
+        assert len(vars(lattice)) > len(vars(twin))  # only the lattice report keeps lookups

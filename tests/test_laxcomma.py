@@ -252,6 +252,11 @@ def test_chain_filtration_roundtrip():
     assert levels["2"] == frozenset({"1"})
     back = chain_filtration("from", filt)
     assert back == a
+    # the empty chain carries only the empty lax object, whose filtration has no levels
+    empty = build_space([], order=[])
+    none = obj(empty, empty, {})
+    assert is_chain(empty) and chain_filtration("to", none).levels == ()
+    assert chain_filtration("from", chain_filtration("to", none)) == none
 
 
 def test_chain_filtration_rejects_bad_input():
