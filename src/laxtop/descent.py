@@ -21,7 +21,7 @@ from .errors import (
 from .finspace import CACHE_SIZE, CMap, FiniteSpace, _union
 from .famx import fam_descent_check, fam_effective_descent_check, first_unrecovered, to_fam
 from .laxcomma import LaxMorphism
-from .order import distributivity_report, heyting_report, lattice_ops, lattice_report
+from .order import LatticeOps, distributivity_report, heyting_report, lattice_ops, lattice_report
 
 
 def _tri(v):
@@ -84,9 +84,15 @@ def scp_meet_compat_check(base: FiniteSpace) -> bool:
     """
     if not lattice_report(base).is_complete_lattice:
         raise NotALattice("meet-compatibility needs a complete lattice base")
-    meet, up = lattice_ops(base).meet_index, base.up_masks
+    return _meet_monotone(lattice_ops(base))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _meet_monotone(ops: LatticeOps) -> bool:
+    """The verdict of `scp_meet_compat_check`, once per lattice's tables."""
+    base, meet = ops.space, ops.meet_index
     return all(
-        up[meet[i][k]] >> meet[j][k] & 1
+        base.up_masks[meet[i][k]] >> meet[j][k] & 1
         for i, j in base.position_pairs
         for k in range(len(base.points))
     )

@@ -6,16 +6,18 @@ point, visiting only the masks that keep the relation antisymmetric and
 transitive.  Unlabeled generation deduplicates by a canonical form:
 iterated colour refinement fixes the order between refinement classes, and
 trying every order inside each class picks the lexicographically smallest
-relation matrix, compared as a tuple of row ints.  A slow permutation-based
-oracle cross-checks the canonical form in the test suite.
+relation matrix, compared as a tuple of row ints.  Isomorphic inputs get
+one shared canonical space.  A slow permutation-based oracle cross-checks
+the canonical form in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import Budget
-from .finspace import FiniteSpace
+from .finspace import CACHE_SIZE, FiniteSpace
 
 
 def _labels(n: int):
@@ -47,11 +49,16 @@ def enumerate_labeled_posets(n: int, cap: int | None = None):
         for dj in downs:
             if dj >> i & 1:
                 bound &= dj
+        bit, earlier = 1 << i, (1 << i) - 1
         m = 0
         while True:
-            # transitivity towards every earlier j below i
-            if all(not m >> j & 1 or not downs[j] & ~m for j in range(i)):
-                bit = 1 << i  # every point of m is below point i
+            rest = m & earlier
+            while rest:  # transitivity towards every earlier j below i
+                low = rest & -rest
+                if downs[low.bit_length() - 1] & ~m:
+                    break
+                rest ^= low
+            else:  # every point of m is below point i
                 rec(downs + [m], tuple(u | bit if m >> j & 1 else u for j, u in enumerate(ups)))
             if m == bound:
                 return
@@ -61,89 +68,90 @@ def enumerate_labeled_posets(n: int, cap: int | None = None):
     return tuple(out)
 
 
-def _refine_colors(n: int, strict):
+def _refine_colors(below, above):
     """Iterated colour refinement; returns an isomorphism-invariant rank per point.
 
-    ``strict`` holds the index pairs (i, j) with point i strictly below
-    point j.  The initial colour (strict down count, strict up count) is
+    ``below[i]`` and ``above[i]`` list the points strictly below and above
+    point i.  The initial colour (strict down count, strict up count) is
     encoded as one order-preserving int, so the ranks are those of refining
     the pairs.  Once every point has its own colour no round can split a
     class, so the ranks are returned without the confirming round.
     """
-    below = [[] for _ in range(n)]
-    above = [[] for _ in range(n)]
-    for i, j in strict:
-        above[i].append(j)
-        below[j].append(i)
-    colors = [len(below[i]) * (n + 1) + len(above[i]) for i in range(n)]
+    n = len(below)
+    colors = [len(d) * (n + 1) + len(u) for d, u in zip(below, above)]
+    count = len(set(colors))
     while True:
-        if len(set(colors)) == n:
+        if count == n:
             ranking = {c: r for r, c in enumerate(sorted(colors))}
             return [ranking[c] for c in colors]
         get = colors.__getitem__
         keys = [
-            (
-                colors[i],
-                tuple(sorted(map(get, below[i]))),
-                tuple(sorted(map(get, above[i]))),
-            )
-            for i in range(n)
+            (c, tuple(sorted(map(get, d))), tuple(sorted(map(get, u))))
+            for c, d, u in zip(colors, below, above)
         ]
         ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new = [ranking[k] for k in keys]
-        if len(ranking) == len(set(colors)):
-            return new
-        colors = new
+        colors = [ranking[k] for k in keys]
+        if len(ranking) == count:
+            return colors
+        count = len(ranking)
 
 
-def _positions(perm):
-    pos = [0] * len(perm)
-    for a, x in enumerate(perm):
-        pos[x] = a
+def _least_order(ranks, above):
+    """The position of each point in the order, among those that list the
+    rank classes in rank order, whose strict relation matrix is least.
+
+    The matrix is compared row by row, each row an int whose most
+    significant bit is the first column.
+    """
+    n = len(ranks)
+    blocks = [[i for i in range(n) if ranks[i] == r] for r in range(max(ranks) + 1)]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, blocks)):
+        perm = list(itertools.chain.from_iterable(parts))
+        bits = [0] * n
+        for a, i in enumerate(perm):
+            bits[i] = 1 << (n - 1 - a)
+        rows = [sum(map(bits.__getitem__, above[i])) for i in perm]
+        if best is None or rows < best:
+            best, least = rows, perm
+    pos = [0] * n
+    for a, i in enumerate(least):
+        pos[i] = a
     return pos
 
 
-def _rows(strict, perm):
-    """The strict relation with points in the order given by perm, as row ints.
-
-    Row a has bit n-1-b set iff perm[a] < perm[b]: the most significant bit
-    is the first column, so comparing row tuples compares the row-major bit
-    matrices lexicographically.
-    """
-    n = len(perm)
-    pos = _positions(perm)
-    rows = [0] * n
-    for i, j in strict:
-        rows[pos[i]] |= 1 << (n - 1 - pos[j])
-    return tuple(rows)
+@lru_cache(maxsize=CACHE_SIZE)
+def _canonical_space(rows: tuple) -> FiniteSpace:
+    """The space on p0..p{n-1} with these up masks, validated once per value."""
+    return FiniteSpace(_labels(len(rows)), rows)
 
 
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
-    """Relabel to p0..p{n-1} with the minimal matrix among class-respecting orders."""
-    pts = space.points
-    n = len(pts)
-    strict = []
+    """Relabel to p0..p{n-1} with the minimal matrix among class-respecting orders.
+
+    When refinement gives every point its own rank, the ranks are the order.
+    The result comes from a cache keyed by its rows, so isomorphic inputs
+    give the same object while its class stays among the last CACHE_SIZE
+    used.
+    """
+    n = len(space.points)
+    below = [[] for _ in range(n)]
+    above = [[] for _ in range(n)]
     for i, row in enumerate(space.up_masks):
         row &= ~(1 << i)
         while row:
             low = row & -row
-            strict.append((i, low.bit_length() - 1))
+            j = low.bit_length() - 1
+            above[i].append(j)
+            below[j].append(i)
             row ^= low
-    colors = _refine_colors(n, strict)
-    classes = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    blocks = [sorted(classes[c], key=pts.__getitem__) for c in sorted(classes)]
-    orders = (
-        tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(*(itertools.permutations(b) for b in blocks))
-    )
-    perm = min(orders, key=lambda p: _rows(strict, p))
-    pos = _positions(perm)
-    rows = [1 << a for a in range(n)]
-    for i, j in strict:
-        rows[pos[i]] |= 1 << pos[j]
-    return FiniteSpace(_labels(n), tuple(rows))
+    ranks = _refine_colors(below, above)
+    pos = ranks if len(set(ranks)) == n else _least_order(ranks, above)
+    bits = [1 << a for a in pos]
+    rows = [0] * n
+    for i, a in enumerate(pos):
+        rows[a] = bits[i] | sum(map(bits.__getitem__, above[i]))
+    return _canonical_space(tuple(rows))
 
 
 def are_isomorphic(s1: FiniteSpace, s2: FiniteSpace) -> bool:

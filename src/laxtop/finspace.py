@@ -308,9 +308,12 @@ def is_monotone(image, rows, target_rows) -> bool:
 def _transitive_reflexive_closure(points, pairs):
     """The rows of the least preorder on the points that contains the pairs."""
     _, up = _relation_rows(points, pairs)
-    for i in range(len(up)):
-        up[i] |= 1 << i
-    for k in range(len(up)):  # Warshall: paths may now pass through points[k]
+    return _closure([row | 1 << i for i, row in enumerate(up)])
+
+
+def _closure(up) -> tuple:
+    """The transitive closure of reflexive rows, updating the list up."""
+    for k in range(len(up)):  # Warshall: paths may now pass through position k
         through = up[k]
         for i, row in enumerate(up):
             if row >> k & 1:
@@ -509,10 +512,7 @@ def induced_space(kind: str, base: FiniteSpace, data) -> InducedSpace:
             raise NotSurjective("quotient table must be total over the base points")
         values = sorted(set(table.values()))
         at = {v: k for k, v in enumerate(values)}
-        positions = tuple(at[table[p]] for p in base.points)
-        rows = _final_rows(base, positions, len(values))
-        quot = FiniteSpace(tuple(values), rows, provenance="opens")
-        return InducedSpace(quot, CMap(base, quot, positions))
+        return _quotient(base, tuple(values), tuple(at[table[p]] for p in base.points))
     raise ValueError(f"unknown induced-space kind {kind!r}")
 
 
@@ -523,14 +523,24 @@ def _subspace(base: FiniteSpace, at) -> InducedSpace:
     return InducedSpace(sub, CMap(sub, base, tuple(at)))
 
 
+def _quotient(base: FiniteSpace, values: tuple, positions: tuple) -> InducedSpace:
+    """The quotient onto the labels values, base position i going to
+    positions[i], with its canonical map."""
+    quot = FiniteSpace(values, _final_rows(base, positions, len(values)), provenance="opens")
+    return InducedSpace(quot, CMap(base, quot, positions))
+
+
 def _final_rows(source: FiniteSpace, image, width: int) -> tuple:
     """The order of the final topology of a map, given as target positions.
 
     A set of values is open when its preimage is down-closed, so the order
     is the least preorder that holds the image of every source pair.
     """
-    pairs = {(image[i], image[j]) for i, j in source.position_pairs}
-    return _transitive_reflexive_closure(range(width), pairs)
+    bits = [1 << k for k in image]
+    up = [1 << k for k in range(width)]
+    for k, row in zip(image, source.up_masks):
+        up[k] |= _union(bits, row)
+    return _closure(up)
 
 
 def subsets(items):

@@ -28,11 +28,11 @@ from .finspace import (
     CMap,
     FiniteSpace,
     _monotone_tables,
+    _quotient,
     _subspace,
     _union,
     cmap,
     enumerate_cmaps,
-    induced_space,
     is_monotone,
     label_part,
     product_label,
@@ -231,9 +231,11 @@ def lax_coequalizer(f: LaxMorphism, g: LaxMorphism) -> LaxCoequalizer:
         for k in range(len(classes)):
             if merged >> k & 1:
                 classes[k] = merged
-    # each class is named by its least label
-    names = [min(tgt.space.points_at(c)) for c in classes]
-    quot = induced_space("quotient", tgt.space, zip(tgt.space.points, names))
+    # each class is named by its least label; the classes come in name order
+    names = {c: min(tgt.space.points_at(c)) for c in set(classes)}
+    at = {c: k for k, c in enumerate(sorted(names, key=names.get))}
+    values = tuple(sorted(names.values()))
+    quot = _quotient(tgt.space, values, tuple(at[c] for c in classes))
     gamma = lan_extension(tgt.alpha, quot.canonical)  # verify tests beta <= gamma . q
     obj = LaxObject(quot.space, gamma)
     return LaxCoequalizer(obj, LaxMorphism(quot.canonical, tgt, obj))

@@ -251,6 +251,33 @@ def _object(space, alpha):
                 "verified": True,
             },
         ),
+        (
+            "coequalizer",
+            {
+                "base": space_to_dict(spaces.chain(3)),
+                "source": _object(spaces.antichain(2), {"0": "0", "1": "1"}),
+                "target": _object(
+                    build_space(["c", "a", "b"], order=[("a", "c")]),
+                    {"c": "2", "a": "1", "b": "0"},
+                ),
+                "f": {"0": "c", "1": "a"},
+                "g": {"0": "b", "1": "a"},
+            },
+            {
+                "construction": "coequalizer",
+                "oracle_checked": 13,
+                "result": {
+                    "alpha": {"a": "1", "b": "2"},
+                    "base": C3_DICT,
+                    "space": {
+                        "name": "",
+                        "points": ["a", "b"],
+                        "topology": {"kind": "opens", "opens": [[], ["a"], ["a", "b"]]},
+                    },
+                },
+                "verified": True,
+            },
+        ),
     ],
 )
 def test_construct_verified_outputs_keep_their_bytes(tmp_path, kind, data, payload):

@@ -63,6 +63,18 @@ def test_scp_meet_compatibility():
             scp_meet_compat_check(spaces.antichain(2))
 
 
+def test_meet_compatibility_is_decided_once_per_lattice():
+    # equal but distinct bases share the lattice tables, so the bit tests run once
+    base = build_space(["x", "y", "z"], order=[("x", "y"), ("y", "z")])
+    before = descent._meet_monotone.cache_info()
+    for _ in range(3):
+        twin = build_space(["x", "y", "z"], order=[("x", "y"), ("y", "z")])
+        assert twin is not base and scp_meet_compat_check(twin)
+    after = descent._meet_monotone.cache_info()
+    misses, hits = after.misses - before.misses, after.hits - before.hits
+    assert misses + hits == 3 and misses <= 1  # no miss if an earlier test saw this base
+
+
 def test_meet_compatibility_holds_on_every_lattice_and_its_lower_topology():
     bases = list(lattice_bases(5)) + [spaces.m3(), spaces.div12(), spaces.sierpinski()]
     for base in bases:

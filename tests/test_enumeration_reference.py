@@ -1,10 +1,14 @@
-"""The bitmask canonical form and enumeration against the label-based originals.
+"""The bitmask canonical form and enumeration against the code they replaced.
 
-The reference functions below are the label-pair implementations that the
+The ``reference_*`` functions are the label-pair implementations that the
 index-and-bitmask code in ``laxtop.enumeration`` replaced, kept verbatim in
 behaviour: colour refinement and the relation matrix read through
 ``FiniteSpace.leq``, candidates compared as tuples of bits, and labeled
-posets built from label pairs made per space.
+posets built from label pairs made per space.  The ``previous_*`` functions
+are the bit-level code that the shared canonical spaces, the all-distinct
+rank order and the mask transitivity test replaced: a new validated space
+per canonical form, the least matrix always found by ``min`` over every
+class-respecting order, and an ``all()`` over the earlier points.
 """
 
 import itertools
@@ -19,8 +23,8 @@ from laxtop.enumeration import (
     enumerate_labeled_preorders,
     enumerate_posets,
 )
-from laxtop.errors import CapExceeded
-from laxtop.finspace import build_space
+from laxtop.errors import Budget, CapExceeded
+from laxtop.finspace import FiniteSpace, build_space
 
 
 def _labels(n):
@@ -132,6 +136,114 @@ def reference_posets(n):
     return tuple(seen[k] for k in sorted(seen))
 
 
+def previous_labeled_posets(n, cap=None):
+    pts = _labels(n)
+    full = (1 << n) - 1
+    budget = Budget("labeled poset search", cap)
+    out = []
+
+    def rec(downs, ups):
+        i = len(downs)
+        if i == n:
+            out.append(FiniteSpace(pts, ups))
+            return
+        budget.spend(1 << (n - 1))
+        bound = full & ~(1 << i)
+        for dj in downs:
+            if dj >> i & 1:
+                bound &= dj
+        m = 0
+        while True:
+            if all(not m >> j & 1 or not downs[j] & ~m for j in range(i)):
+                bit = 1 << i
+                rec(downs + [m], tuple(u | bit if m >> j & 1 else u for j, u in enumerate(ups)))
+            if m == bound:
+                return
+            m = (m - bound) & bound
+
+    rec([], tuple(1 << j for j in range(n)))
+    return tuple(out)
+
+
+def previous_refine_colors(n, strict):
+    below = [[] for _ in range(n)]
+    above = [[] for _ in range(n)]
+    for i, j in strict:
+        above[i].append(j)
+        below[j].append(i)
+    colors = [len(below[i]) * (n + 1) + len(above[i]) for i in range(n)]
+    while True:
+        if len(set(colors)) == n:
+            ranking = {c: r for r, c in enumerate(sorted(colors))}
+            return [ranking[c] for c in colors]
+        get = colors.__getitem__
+        keys = [
+            (
+                colors[i],
+                tuple(sorted(map(get, below[i]))),
+                tuple(sorted(map(get, above[i]))),
+            )
+            for i in range(n)
+        ]
+        ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new = [ranking[k] for k in keys]
+        if len(ranking) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _previous_positions(perm):
+    pos = [0] * len(perm)
+    for a, x in enumerate(perm):
+        pos[x] = a
+    return pos
+
+
+def _previous_rows(strict, perm):
+    n = len(perm)
+    pos = _previous_positions(perm)
+    rows = [0] * n
+    for i, j in strict:
+        rows[pos[i]] |= 1 << (n - 1 - pos[j])
+    return tuple(rows)
+
+
+def _strict_pairs(space):
+    """The (i, j) with point i strictly below point j, row by row."""
+    return [(i, j) for i, j in space.position_pairs if i != j]
+
+
+def previous_canonical_form(space):
+    pts = space.points
+    n = len(pts)
+    strict = _strict_pairs(space)
+    colors = previous_refine_colors(n, strict)
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    blocks = [sorted(classes[c], key=pts.__getitem__) for c in sorted(classes)]
+    orders = (
+        tuple(itertools.chain.from_iterable(parts))
+        for parts in itertools.product(*(itertools.permutations(b) for b in blocks))
+    )
+    perm = min(orders, key=lambda p: _previous_rows(strict, p))
+    pos = _previous_positions(perm)
+    rows = [1 << a for a in range(n)]
+    for i, j in strict:
+        rows[pos[i]] |= 1 << pos[j]
+    return FiniteSpace(_labels(n), tuple(rows))
+
+
+def _below_above(space):
+    """For each point, the points strictly below it and strictly above it."""
+    n = len(space.points)
+    below, above = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, j in _strict_pairs(space):
+        above[i].append(j)
+        below[j].append(i)
+    return below, above
+
+
 def _universe():
     """Every labeled poset on at most 5 points and every preorder on at most 3."""
     for n in range(6):
@@ -142,11 +254,10 @@ def _universe():
 
 def test_refinement_ranks_match_the_label_based_refinement():
     for space in _universe():
-        idx = {p: i for i, p in enumerate(space.points)}
-        strict = [(idx[x], idx[y]) for (x, y) in space.le if x != y]
-        ranks = _refine_colors(len(space.points), strict)
+        ranks = _refine_colors(*_below_above(space))
         want = reference_refine_colors(space)
         assert ranks == [want[p] for p in space.points]
+        assert ranks == previous_refine_colors(len(space.points), _strict_pairs(space))
 
 
 def test_canonical_form_matches_the_label_based_form():
@@ -197,3 +308,52 @@ def test_orbit_counts_sum_to_the_labeled_counts():
         for n in range(1, 6)
     ]
     assert counts == [1, 3, 19, 219, 4231]
+
+
+SAMPLE_STEP = 13  # every 13th labeled poset on 6 points: 10 002 of 130 023
+
+
+@pytest.fixture(scope="module")
+def six_points():
+    return enumerate_labeled_posets(6, cap=10**7)
+
+
+def test_labeled_enumeration_matches_the_previous_code(six_points):
+    for n in range(6):
+        new, old = enumerate_labeled_posets(n), previous_labeled_posets(n)
+        assert [(s.points, s.up_masks) for s in new] == [(s.points, s.up_masks) for s in old]
+    old = previous_labeled_posets(6, cap=10**7)
+    assert [s.up_masks for s in six_points] == [s.up_masks for s in old]
+    assert {s.points for s in six_points} == {_labels(6)}
+
+
+def test_canonical_form_matches_the_previous_form(six_points):
+    spaces = list(_universe()) + list(six_points[::SAMPLE_STEP])
+    for space in spaces:
+        new, old = canonical_form(space), previous_canonical_form(space)
+        assert new == old and hash(new) == hash(old)
+        assert (new.points, new.up_masks, new.provenance, new.name) == (
+            old.points,
+            old.up_masks,
+            old.provenance,
+            old.name,
+        )
+    assert len(spaces) == 4509 + 10002
+
+
+def test_isomorphic_inputs_share_one_canonical_space():
+    for n in range(1, 5):
+        for rep in enumerate_posets(n):
+            canon = canonical_form(rep)
+            for perm in itertools.permutations(range(n)):
+                # point k of the copy is point perm[k] of rep, under a new label
+                at = {j: k for k, j in enumerate(perm)}
+                rows = tuple(
+                    sum(1 << at[j] for j in range(n) if rep.up_masks[i] >> j & 1)
+                    for i in perm
+                )
+                copy = FiniteSpace(tuple(f"q{j}" for j in perm), rows)
+                assert canonical_form(copy) is canon
+        # equality and hashing stay by value
+        twin = FiniteSpace(canon.points, canon.up_masks)
+        assert twin == canon and hash(twin) == hash(canon) and twin is not canon

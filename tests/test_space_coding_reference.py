@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from laxtop import spaces
 from laxtop.enumeration import (
     _labels,
-    _positions,
     _refine_colors,
-    _rows,
     canonical_form,
     enumerate_labeled_posets,
     enumerate_labeled_preorders,
@@ -231,12 +229,32 @@ def reference_labeled_posets(n):
     return tuple(out)
 
 
+def _positions(perm):
+    pos = [0] * len(perm)
+    for a, x in enumerate(perm):
+        pos[x] = a
+    return pos
+
+
+def _rows(strict, perm):
+    n = len(perm)
+    pos = _positions(perm)
+    rows = [0] * n
+    for i, j in strict:
+        rows[pos[i]] |= 1 << (n - 1 - pos[j])
+    return tuple(rows)
+
+
 def reference_canonical_form(space):
     pts = space.points
     n = len(pts)
     idx = {p: i for i, p in enumerate(pts)}
     strict = [(idx[x], idx[y]) for (x, y) in space.le if x != y]
-    colors = _refine_colors(n, strict)
+    below, above = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, j in strict:
+        above[i].append(j)
+        below[j].append(i)
+    colors = _refine_colors(below, above)
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
