@@ -651,50 +651,66 @@ class _ValueMasks(dict):
         return out
 
 
-def _lifted_positions(f, lifts):
-    """The fibres and lifted pairs of f as masks of source positions.
+def _passing_alphas(alphas, points, codes, down, allw):
+    """Per fibre mask and bound, the alphas that pass there, as bits.
 
-    Returns (fibres, lifted): fibres[j] holds the positions over the j-th
-    target point, and lifted lists, for each pair b' <= b in the order of
-    lifts, the position of b' with the lower ends of the pairs over it.
+    Returns (values, passing): values[k] is the value mask list of alpha_k,
+    and bit k of passing[fibre][bound] is set when alpha_k's values over the
+    fibre, a mask of the carrier's positions, lie below the bound and pass
+    the all-w condition at it.
     """
-    return list(f.fibres), [(j1, lower) for (j1, _), lower in lifts.items()]
+    values = [codes[alpha.positions] for alpha in alphas]
+    passing = []
+    for fibre in range(1 << points):
+        over = [masks[fibre] for masks in values]  # each alpha's value mask over the fibre
+        passing.append([
+            sum(1 << k for k, mask in enumerate(over) if mask | d == d and row[mask])
+            for d, row in zip(down, allw)
+        ])
+    return values, passing
 
 
 def allw_join_coherence(base, carriers):
     """Count agreements of the all-w condition with the join condition.
 
-    Restricted to triples whose family image passes descent; returns
-    (checked, discrepancies) where each discrepancy carries the triple.
-    The conditions are read from the base's condition tables: each alpha
-    is coded once as the value mask of every set of its points, so family
-    descent, all-w and join are one table read per fibre or lifted pair.
-    Family descent is tested before any lifted pair is read.
+    Restricted to the lax triples (f, alpha, beta), alpha <= beta . f, whose
+    family image passes descent; returns (checked, discrepancies) in the
+    order of `_lax_triples`, each discrepancy carrying the triple.  Both
+    filters are read fibre by fibre: each carrier's alphas get one bit set
+    per fibre mask and bound (`_passing_alphas`), so the alphas that pass
+    for f and beta are the AND of the sets at f's fibres and beta's values
+    there.  Only those alphas are visited; the all-w and join conditions of
+    their lifted pairs are then one read each of the base's condition tables.
     """
     allw, join = condition_tables(base)
     codes = _ValueMasks()
+    into_base = [enumerate_cmaps(sp, base) for sp in carriers]
+    tables = [
+        _passing_alphas(alphas, len(sp.points), codes, base.down_masks, allw)
+        for sp, alphas in zip(carriers, into_base)
+    ]
     checked = 0
     discrepancies = []
-    last_f = last_beta = None
-    for f, alpha, beta, lifts in _lax_triples(base, carriers):
-        if f is not last_f or beta is not last_beta:
-            if f is not last_f:
-                last_f = f
-                fibres, lifted = _lifted_positions(f, lifts)
-            last_beta = beta
-            bounds = beta.positions
-            rows = [allw[i] for i in bounds]  # the all-w row of each bound
-            fibre_rows = list(zip(rows, fibres))
-        values = codes[alpha.positions]
-        for row, fibre in fibre_rows:
-            if not row[values[fibre]]:
-                break
-        else:
-            allw_ok = all(rows[j][values[over]] for j, over in lifted)
-            join_ok = all(join[values[over]] == bounds[j] for j, over in lifted)
-            checked += 1
-            if allw_ok != join_ok:
-                discrepancies.append((f, alpha, beta, allw_ok, join_ok))
+    for a_sp, alphas, (values, passing) in zip(carriers, into_base, tables):
+        everyone = (1 << len(alphas)) - 1
+        for b_sp, betas in zip(carriers, into_base):
+            for f in enumerate_cmaps(a_sp, b_sp):
+                lifted = [(j1, lower) for (j1, _), lower in _pair_lifts(f).items()]
+                cells = [passing[fibre] for fibre in f.fibres]
+                for beta in betas:
+                    bounds = beta.positions
+                    live = everyone
+                    for cell, bound in zip(cells, bounds):
+                        live &= cell[bound]
+                    while live:
+                        k = (live & -live).bit_length() - 1
+                        live &= live - 1
+                        masks = values[k]
+                        allw_ok = all(allw[bounds[j]][masks[over]] for j, over in lifted)
+                        join_ok = all(join[masks[over]] == bounds[j] for j, over in lifted)
+                        checked += 1
+                        if allw_ok != join_ok:
+                            discrepancies.append((f, alphas[k], beta, allw_ok, join_ok))
     return checked, discrepancies
 
 
@@ -736,7 +752,7 @@ def sierpinski_specialization(carriers):
         if f is not last_f:
             last_f = f
             chains_ok = top_effective_descent_check(f).is_effective
-            _, lifted = _lifted_positions(f, lifts)
+            lifted = [(j1, lower) for (j1, _), lower in lifts.items()]
         values = codes[alpha.positions]
         join_ok = all(join[values[over]] == beta.positions[j] for j, over in lifted)
         closed_lift = closed_part_lifting(alpha, beta, lifts)

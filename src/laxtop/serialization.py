@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError
 from .famx import FamMorphism, FamObject, fam_morphism, fam_object
@@ -30,7 +31,38 @@ def load_json(path: str) -> dict:
 
 
 def to_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2)`` and a newline.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder; this
+    writer builds the same text directly, handing the leaves that are not
+    strings to ``json.dumps`` so that numbers and errors come out as there.
+    """
+    return _dump(data, "\n") + "\n"
+
+
+def _dump(data, newline: str) -> str:
+    if isinstance(data, str):
+        return encode_basestring_ascii(data)
+    inner = newline + "  "
+    if isinstance(data, (list, tuple)):
+        if not data:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in data) + newline + "]"
+    if isinstance(data, dict):
+        if not data:
+            return "{}"
+        items = (_key(k) + ": " + _dump(v, inner) for k, v in sorted(data.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(data)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a scalar in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _need(data, field, kind, where):

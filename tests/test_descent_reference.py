@@ -13,6 +13,8 @@ the references read the all-w and join conditions on labels, through
 ``reference_all_w_ok`` and ``reference_join``, and touch no condition cache.
 ``_pair_lifts`` keeps only the lower ends of the lifted pairs, as position
 masks, so its output is compared with ``lower_ends`` of the reference.
+``previous_allw_join_coherence`` is the sweep that filtered every triple of
+``_lax_triples`` before the per-fibre alpha sets replaced it.
 """
 
 from functools import lru_cache
@@ -25,6 +27,7 @@ from laxtop.descent import (
     _all_w_ok,
     _join_cached,
     _pair_lifts,
+    condition_tables,
     top_descent_check,
     top_effective_descent_check,
 )
@@ -32,6 +35,7 @@ from laxtop.enumeration import canonical_form
 from laxtop.finspace import build_space, enumerate_cmaps
 from laxtop.harness import (
     _lax_triples,
+    _ValueMasks,
     allw_join_coherence,
     frame_bases,
     lattice_bases,
@@ -154,6 +158,37 @@ def reference_allw_join_coherence(base, carriers):
     return checked, discrepancies
 
 
+def previous_allw_join_coherence(base, carriers):
+    """The sweep over every lax triple: family descent read fibre by fibre
+    for each alpha, then the all-w and join conditions of the lifted pairs."""
+    allw, join = condition_tables(base)
+    codes = _ValueMasks()
+    checked = 0
+    discrepancies = []
+    last_f = last_beta = None
+    for f, alpha, beta, lifts in _lax_triples(base, carriers):
+        if f is not last_f or beta is not last_beta:
+            if f is not last_f:
+                last_f = f
+                fibres = list(f.fibres)
+                lifted = [(j1, lower) for (j1, _), lower in lifts.items()]
+            last_beta = beta
+            bounds = beta.positions
+            rows = [allw[i] for i in bounds]
+            fibre_rows = list(zip(rows, fibres))
+        values = codes[alpha.positions]
+        for row, fibre in fibre_rows:
+            if not row[values[fibre]]:
+                break
+        else:
+            allw_ok = all(rows[j][values[over]] for j, over in lifted)
+            join_ok = all(join[values[over]] == bounds[j] for j, over in lifted)
+            checked += 1
+            if allw_ok != join_ok:
+                discrepancies.append((f, alpha, beta, allw_ok, join_ok))
+    return checked, discrepancies
+
+
 def _all_maps(n):
     universe = posets_up_to(n)
     return [f for src in universe for tgt in universe for f in enumerate_cmaps(src, tgt)]
@@ -221,6 +256,23 @@ def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(
     n = len(base.points)
     assert counts[0] == (n * 2**n, 2**n)
     assert results[0][0] > 0
+
+
+@pytest.mark.parametrize(
+    "base",
+    list(lattice_bases(4)) + list(NON_FRAMES),
+    ids=[repr(b) for b in lattice_bases(4)] + ["N5", "M3"],
+)
+def test_allw_join_coherence_matches_the_previous_sweep_in_order(base):
+    carriers = posets_up_to(3)
+    got = allw_join_coherence(base, carriers)
+    assert got == previous_allw_join_coherence(base, carriers)
+    assert got[0] > 0
+
+
+def test_allw_join_coherence_counts_on_the_non_frames():
+    carriers = posets_up_to(3)
+    assert [allw_join_coherence(b, carriers) for b in NON_FRAMES] == [(17024, []), (14378, [])]
 
 
 def test_the_non_frames_are_n5_and_m3():

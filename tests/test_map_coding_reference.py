@@ -4,9 +4,9 @@
 pairs as its value and built the image dict in ``__post_init__``;
 ``reference_cmap`` validated a point dict with the label-coded monotonicity
 test and composed maps through ``mapping``.  The label-coded helpers of the
-descent sweep (the codes of ``_lax_triples``, ``_ValueMasks`` and
-``_lifted_positions``) are kept too, fed the label-coded lifted pairs of
-``reference_pair_lifts``.  The position-coded code must give
+descent sweep (the codes of ``_lax_triples``, ``_ValueMasks`` and the
+fibres and lifted pairs the sweeps read) are kept too, fed the label-coded
+lifted pairs of ``reference_pair_lifts``.  The position-coded code must give
 equal maps, hashes, reprs, tables and verdicts, raise the same exceptions
 with the same messages, and feed the sweep the same triples and masks, on
 both orders of every pair of labeled preorders on at most 3 points and of
@@ -35,7 +35,6 @@ from laxtop.finspace import (
 )
 from laxtop.harness import (
     _lax_triples,
-    _lifted_positions,
     _ValueMasks,
     lattice_bases,
     posets_up_to,
@@ -303,4 +302,5 @@ def test_lifted_positions_match_on_every_map_between_carriers():
     for a, b in itertools.product(posets_up_to(3), repeat=2):
         for f in enumerate_cmaps(a, b):
             want = reference_lifted_positions(f, reference_pair_lifts(f))
-            assert _lifted_positions(f, _pair_lifts(f)) == want
+            lifted = [(j1, lower) for (j1, _), lower in _pair_lifts(f).items()]
+            assert (list(f.fibres), lifted) == want

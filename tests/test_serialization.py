@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxtop import spaces
 from laxtop.errors import ParseError, SchemaError
@@ -190,3 +192,38 @@ def test_space_field_may_be_a_path(tmp_path):
     obj = lax_object_from_dict(load_json(str(obj_file)), relative_to=str(obj_file))
     assert obj.value("*") == "1"
     assert obj.base.points == ("0", "1", "2")
+
+
+LEAVES = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_to_json_writes_the_bytes_of_json_dumps(data):
+    assert to_json(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_to_json_matches_json_dumps_on_edge_leaves_keys_and_errors():
+    leaves = {
+        "": [],
+        "empty": {},
+        "nested": [(), {}, [[]], {"k": ()}],
+        "text": "\u00e9\u2603\U0001f600\"\\\n\x00",
+        "numbers": [0, -1, 2**70, 1.5, -0.0, 1e300, float("inf"), float("nan")],
+        "flags": (True, False, None),
+    }
+    for data in (leaves, {1: leaves, 2: 0}, {2.5: 0, -1.0: 1}, {True: 0}, {None: 0}):
+        assert to_json(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    for data in ({(1, 2): 0}, [{1, 2}], {1: 0, "a": 1}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(data, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            to_json(data)
+        assert str(got.value) == str(want.value)
