@@ -607,33 +607,6 @@ def suite_effective_implies_descent(cfg):
     return t.result()
 
 
-def _lax_triples(base, carriers):
-    """All (f, alpha, beta) with f monotone and alpha <= beta . f.
-
-    The maps into the base are listed once per carrier.  A map is coded with
-    one bit per (point, value), in a block of len(base.points) bits per
-    point, so alpha <= beta . f is one test of alpha's code against the
-    down-sets of the values of beta . f.
-    """
-    width = len(base.points)
-    down = base.down_masks
-    into_base = [enumerate_cmaps(sp, base) for sp in carriers]
-    codes_of = [
-        [sum(1 << j << k * width for k, j in enumerate(m.positions)) for m in maps]
-        for maps in into_base
-    ]
-    for a_sp, alphas, codes in zip(carriers, into_base, codes_of):
-        for b_sp, betas in zip(carriers, into_base):
-            for f in enumerate_cmaps(a_sp, b_sp):
-                lifts = _pair_lifts(f)
-                for beta in betas:
-                    over = beta.positions
-                    bound = sum(down[over[j]] << k * width for k, j in enumerate(f.positions))
-                    for alpha, code in zip(alphas, codes):
-                        if code & bound == code:
-                            yield f, alpha, beta, lifts
-
-
 class _ValueMasks(dict):
     """Maps into a base, by their positions, to their value masks, coding each once.
 
@@ -651,23 +624,56 @@ class _ValueMasks(dict):
         return out
 
 
-def _passing_alphas(alphas, points, codes, down, allw):
-    """Per fibre mask and bound, the alphas that pass there, as bits.
+def _lax_sweep(base, carriers, allw=None):
+    """Per map f between carriers, the alphas and betas with alpha <= beta . f.
 
-    Returns (values, passing): values[k] is the value mask list of alpha_k,
-    and bit k of passing[fibre][bound] is set when alpha_k's values over the
-    fibre, a mask of the carrier's positions, lie below the bound and pass
-    the all-w condition at it.
+    Yields (f, alphas, values, rows) for every f, in carrier order: alphas
+    lists the maps from f's source into the base, values[k] is alpha_k's
+    value mask list (`_ValueMasks`), and rows pairs each beta, in order, with
+    the set of k such that alpha_k <= beta . f, as bits; betas with no such
+    alpha are left out.  Each carrier's alphas are coded once: bit k of
+    cells[fibre][bound] is set when alpha_k's values over the fibre, a mask
+    of the carrier's positions, lie below the bound and, when the all-w
+    table is given, pass the all-w condition at it.  So the set for f and
+    beta is the AND of the cells at f's fibres and beta's values there.
     """
-    values = [codes[alpha.positions] for alpha in alphas]
-    passing = []
-    for fibre in range(1 << points):
-        over = [masks[fibre] for masks in values]  # each alpha's value mask over the fibre
-        passing.append([
-            sum(1 << k for k, mask in enumerate(over) if mask | d == d and row[mask])
-            for d, row in zip(down, allw)
-        ])
-    return values, passing
+    codes = _ValueMasks()
+    into_base = [enumerate_cmaps(sp, base) for sp in carriers]
+    if allw is None:  # the lax condition alone
+        allw = ((True,) * (1 << len(base.points)),) * len(base.points)
+    for a_sp, alphas in zip(carriers, into_base):
+        values = [codes[alpha.positions] for alpha in alphas]
+        cells = []
+        for fibre in range(1 << len(a_sp.points)):
+            over = [masks[fibre] for masks in values]  # each alpha's value mask over the fibre
+            cells.append([
+                sum(1 << k for k, mask in enumerate(over) if mask | d == d and row[mask])
+                for d, row in zip(base.down_masks, allw)
+            ])
+        everyone = (1 << len(alphas)) - 1
+        for b_sp, betas in zip(carriers, into_base):
+            for f in enumerate_cmaps(a_sp, b_sp):
+                at_f = [cells[fibre] for fibre in f.fibres]
+                rows = []
+                for beta in betas:
+                    live = everyone
+                    for cell, bound in zip(at_f, beta.positions):
+                        live &= cell[bound]
+                    if live:
+                        rows.append((beta, live))
+                yield f, alphas, values, rows
+
+
+def _lax_triples(base, carriers):
+    """All (f, alpha, beta, lifts) with f monotone and alpha <= beta . f,
+    lifts being `_pair_lifts(f)`: the set bits of `_lax_sweep`'s rows."""
+    for f, alphas, _, rows in _lax_sweep(base, carriers):
+        lifts = _pair_lifts(f)
+        for beta, live in rows:
+            while live:
+                k = (live & -live).bit_length() - 1
+                live &= live - 1
+                yield f, alphas[k], beta, lifts
 
 
 def allw_join_coherence(base, carriers):
@@ -676,41 +682,27 @@ def allw_join_coherence(base, carriers):
     Restricted to the lax triples (f, alpha, beta), alpha <= beta . f, whose
     family image passes descent; returns (checked, discrepancies) in the
     order of `_lax_triples`, each discrepancy carrying the triple.  Both
-    filters are read fibre by fibre: each carrier's alphas get one bit set
-    per fibre mask and bound (`_passing_alphas`), so the alphas that pass
-    for f and beta are the AND of the sets at f's fibres and beta's values
-    there.  Only those alphas are visited; the all-w and join conditions of
-    their lifted pairs are then one read each of the base's condition tables.
+    filters are read fibre by fibre from `_lax_sweep`'s cells, given the
+    all-w table, so only the alphas that pass are visited; the all-w and
+    join conditions of their lifted pairs are then one read each of the
+    base's condition tables.
     """
     allw, join = condition_tables(base)
-    codes = _ValueMasks()
-    into_base = [enumerate_cmaps(sp, base) for sp in carriers]
-    tables = [
-        _passing_alphas(alphas, len(sp.points), codes, base.down_masks, allw)
-        for sp, alphas in zip(carriers, into_base)
-    ]
     checked = 0
     discrepancies = []
-    for a_sp, alphas, (values, passing) in zip(carriers, into_base, tables):
-        everyone = (1 << len(alphas)) - 1
-        for b_sp, betas in zip(carriers, into_base):
-            for f in enumerate_cmaps(a_sp, b_sp):
-                lifted = [(j1, lower) for (j1, _), lower in _pair_lifts(f).items()]
-                cells = [passing[fibre] for fibre in f.fibres]
-                for beta in betas:
-                    bounds = beta.positions
-                    live = everyone
-                    for cell, bound in zip(cells, bounds):
-                        live &= cell[bound]
-                    while live:
-                        k = (live & -live).bit_length() - 1
-                        live &= live - 1
-                        masks = values[k]
-                        allw_ok = all(allw[bounds[j]][masks[over]] for j, over in lifted)
-                        join_ok = all(join[masks[over]] == bounds[j] for j, over in lifted)
-                        checked += 1
-                        if allw_ok != join_ok:
-                            discrepancies.append((f, alphas[k], beta, allw_ok, join_ok))
+    for f, alphas, values, rows in _lax_sweep(base, carriers, allw):
+        lifted = [(j1, lower) for (j1, _), lower in _pair_lifts(f).items()]
+        for beta, live in rows:
+            bounds = beta.positions
+            while live:
+                k = (live & -live).bit_length() - 1
+                live &= live - 1
+                masks = values[k]
+                allw_ok = all(allw[bounds[j]][masks[over]] for j, over in lifted)
+                join_ok = all(join[masks[over]] == bounds[j] for j, over in lifted)
+                checked += 1
+                if allw_ok != join_ok:
+                    discrepancies.append((f, alphas[k], beta, allw_ok, join_ok))
     return checked, discrepancies
 
 
@@ -740,25 +732,27 @@ def sierpinski_specialization(carriers):
 
     Returns (checked, discrepancies): the join condition plus 2-chain
     lifting must coincide with 2-chain lifting plus pair lifting between
-    the closed parts.
+    the closed parts.  The lax triples are read from `_lax_sweep`, in the
+    order of `_lax_triples`.
     """
     base = spaces.sierpinski()
     join = condition_tables(base)[1]
-    codes = _ValueMasks()
     checked = 0
     discrepancies = []
-    last_f = None
-    for f, alpha, beta, lifts in _lax_triples(base, carriers):
-        if f is not last_f:
-            last_f = f
-            chains_ok = top_effective_descent_check(f).is_effective
-            lifted = [(j1, lower) for (j1, _), lower in lifts.items()]
-        values = codes[alpha.positions]
-        join_ok = all(join[values[over]] == beta.positions[j] for j, over in lifted)
-        closed_lift = closed_part_lifting(alpha, beta, lifts)
-        checked += 1
-        if (bool(chains_ok) and join_ok) != (bool(chains_ok) and closed_lift):
-            discrepancies.append((f, alpha, beta))
+    for f, alphas, values, rows in _lax_sweep(base, carriers):
+        chains_ok = bool(top_effective_descent_check(f).is_effective)
+        lifts = _pair_lifts(f)
+        lifted = [(j1, lower) for (j1, _), lower in lifts.items()]
+        for beta, live in rows:
+            bounds = beta.positions
+            while live:
+                k = (live & -live).bit_length() - 1
+                live &= live - 1
+                join_ok = all(join[values[k][over]] == bounds[j] for j, over in lifted)
+                closed_lift = closed_part_lifting(alphas[k], beta, lifts)
+                checked += 1
+                if chains_ok and join_ok != closed_lift:
+                    discrepancies.append((f, alphas[k], beta))
     return checked, discrepancies
 
 

@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -465,11 +468,43 @@ def test_malformed_json_is_a_usage_error(tmp_path, argv, data):
     assert out.startswith("error:")
 
 
+SEEDS = (0, 2, 3)  # string hash seeds under which frozenset order differs
+
+
+def run_under_seeds(script, *args):
+    """The stdout of a python script run under each of SEEDS, in a fresh process."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, (seed, proc.stderr)
+        outs.append(proc.stdout)
+    return outs
+
+
 def test_paper_check_json_is_deterministic():
     argv = ["paper-check", "--suites", "finite-sober", "--max-points", "3", "--json"]
     _, first = run(argv)
     _, second = run(argv)
     assert first == second
+    script = "import sys\nfrom laxtop.cli import run_command\nrun_command(sys.argv[1:], sys.stdout)\n"
+    assert run_under_seeds(script, *argv) == [first] * len(SEEDS)
+
+
+def test_missing_meets_are_named_in_point_order_whatever_the_hash_seed():
+    script = (
+        "from laxtop import spaces\n"
+        "from laxtop.errors import MeetsMissing\n"
+        "from laxtop.vietoris import vietoris_algebra_check\n"
+        "try:\n"
+        "    vietoris_algebra_check(spaces.antichain(3))\n"
+        "except MeetsMissing as exc:\n"
+        "    print(exc.family)\n"
+    )
+    assert run_under_seeds(script) == ["('0', '1', '2')\n"] * len(SEEDS)
 
 
 def test_reused_parser_answers_as_a_fresh_one(tmp_path, space_file, capsys):

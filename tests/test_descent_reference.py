@@ -31,7 +31,7 @@ from laxtop.descent import (
     top_descent_check,
     top_effective_descent_check,
 )
-from laxtop.enumeration import canonical_form
+from laxtop.enumeration import canonical_form, enumerate_labeled_preorders
 from laxtop.finspace import build_space, enumerate_cmaps
 from laxtop.harness import (
     _lax_triples,
@@ -273,6 +273,22 @@ def test_allw_join_coherence_matches_the_previous_sweep_in_order(base):
 def test_allw_join_coherence_counts_on_the_non_frames():
     carriers = posets_up_to(3)
     assert [allw_join_coherence(b, carriers) for b in NON_FRAMES] == [(17024, []), (14378, [])]
+
+
+def test_the_sweeps_count_the_same_on_preorder_carriers():
+    # one carrier per preorder class on at most 3 points; the 5 that are not
+    # T0 have fibres holding equivalent points, which no poset carrier has
+    classes = {}
+    for n in range(1, 4):
+        for s in enumerate_labeled_preorders(n):
+            canonical = canonical_form(s)
+            classes.setdefault(canonical.up_masks, canonical)
+    carriers = tuple(classes.values())
+    assert (len(carriers), sum(not s.is_t0() for s in carriers)) == (13, 5)
+    sweeps = [allw_join_coherence(base, carriers) for base in frame_bases(4)]
+    assert sum(checked for checked, _ in sweeps) == 44144
+    assert [found for _, found in sweeps] == [[]] * len(sweeps)
+    assert sierpinski_specialization(carriers) == (15124, [])
 
 
 def test_the_non_frames_are_n5_and_m3():

@@ -145,7 +145,8 @@ def reference_vietoris_algebra_check(base):
     if not base.is_t0():
         raise NotT0("algebra analysis needs a T0 space")
     table = {
-        set_label(c, base.points): require_meets(base, c) for c in base.closed_sets()
+        set_label(c, base.points): require_meets(base, sorted(c, key=base.index.get))
+        for c in base.closed_sets()
     }
     v, vv, unit, mult, _ = reference_vietoris_monad(base)
     structure = cmap(v.space, base, table)
