@@ -98,26 +98,60 @@ def _meet_monotone(ops: LatticeOps) -> bool:
     )
 
 
+def _lift_masks(source: FiniteSpace, width: int, positions):
+    """Per target position j of a map with these positions, over a target of
+    this width: the mask of its fibre, of the source points above a point of
+    the fibre, and of those below one."""
+    fibre, above, below = [0] * width, [0] * width, [0] * width
+    for a, (j, up, down) in enumerate(zip(positions, source.up_masks, source.down_masks)):
+        fibre[j] |= 1 << a
+        above[j] |= up
+        below[j] |= down
+    return fibre, above, below
+
+
 def _pair_lifts(f: CMap):
     """For each pair of target positions j' <= j, in target point order, the
     mask of the source positions over j' below some point over j.  Only these
     lower ends a' of the lifted pairs a' <= a are kept: every caller tests a
     pair against an up-closed set of source points, which holds a if it holds a'.
     """
-    fibre, below = [0] * len(f.target.points), [0] * len(f.target.points)
-    for a, (j, down) in enumerate(zip(f.positions, f.source.down_masks)):
-        fibre[j] |= 1 << a
-        below[j] |= down  # the source points below a point over j
+    fibre, _, below = _lift_masks(f.source, len(f.target.points), f.positions)
     return {(j1, j): fibre[j1] & below[j] for j1, j in f.target.position_pairs}
+
+
+def _lifting(source: FiniteSpace, target: FiniteSpace, positions):
+    """Pair lifting and 2-chain lifting of the map with these target positions.
+
+    Returns (pair, chain): the first pair j' <= j of target positions, in
+    `position_pairs` order, over which no source pair lies, and the first
+    chain b0 <= b1 <= b2, in `position_chains` order, over which no source
+    chain lies; each is None when every one lifts.  A chain lifts iff some
+    point over b1 is above a point over b0 and below a point over b2, and a
+    pair j' <= j lifts iff some point over j' is below a point over j.
+    """
+    fibre, above, below = _lift_masks(source, len(target.points), positions)
+    pair = chain = None
+    for j1, j in target.position_pairs:
+        if not fibre[j1] & below[j]:
+            pair = j1, j
+            break
+    for b0, b1, b2 in target.position_chains:
+        if not fibre[b1] & above[b0] & below[b2]:
+            chain = b0, b1, b2
+            break
+    return pair, chain
+
+
+def _named(kind, space: FiniteSpace, positions):
+    """The witness (kind, points at positions), or none when positions is None."""
+    return () if positions is None else ((kind, tuple(space.points[j] for j in positions)),)
 
 
 def top_descent_check(f: CMap) -> DescentReport:
     """Descent in Top: every comparable pair downstairs lifts upstairs."""
-    for (j1, j), lifted in _pair_lifts(f).items():
-        if not lifted:
-            pts = f.target.points
-            return DescentReport("top", False, None, witnesses=(("pair", (pts[j1], pts[j])),))
-    return DescentReport("top", True, None)
+    pair, _ = _lifting(f.source, f.target, f.positions)
+    return DescentReport("top", pair is None, None, witnesses=_named("pair", f.target, pair))
 
 
 def top_effective_descent_check(f: CMap) -> DescentReport:
@@ -126,25 +160,13 @@ def top_effective_descent_check(f: CMap) -> DescentReport:
     A chain b0 <= b1 <= b2 lifts iff some point over b1 is above a point
     over b0 and below a point over b2.
     """
-    descent = top_descent_check(f)
-    image, src_up, tgt_up = f.positions, f.source.up_masks, f.target.up_masks
-    bits, fibre = [1 << j for j in image], f.fibres
-    reach = [_union(bits, up) for up in src_up]  # the image of each source up-set
-    for b0, row in enumerate(tgt_up):
-        above = _union(src_up, fibre[b0])  # every source point above a point over b0
-        for b1, b1_up in enumerate(tgt_up):
-            if row >> b1 & 1:
-                missing = b1_up & ~_union(reach, above & fibre[b1])
-                if missing:
-                    pts = f.target.points
-                    chain = (pts[b0], pts[b1], pts[(missing & -missing).bit_length() - 1])
-                    return DescentReport(
-                        "top",
-                        descent.is_descent,
-                        False,
-                        witnesses=descent.witnesses + (("chain", chain),),
-                    )
-    return DescentReport("top", descent.is_descent, True, witnesses=descent.witnesses)
+    pair, chain = _lifting(f.source, f.target, f.positions)
+    return DescentReport(
+        "top",
+        pair is None,
+        chain is None,
+        witnesses=_named("pair", f.target, pair) + _named("chain", f.target, chain),
+    )
 
 
 @dataclass(frozen=True)
@@ -328,7 +350,7 @@ def cd_filtration_descent_check(f: LaxMorphism) -> DescentReport:
     if not dist.is_completely_distributive:
         raise NotCompletelyDistributive("filtration criterion needs complete distributivity")
     src, tgt = f.source, f.target
-    top_eff = top_effective_descent_check(f.underlying)
+    pre, top_eff = _lattice_preamble(f)
     if top_eff.is_effective:
         pts, up, beta = base.points, base.up_masks, tgt.alpha.positions
         lifts = _pair_lifts(f.underlying).items()
@@ -356,7 +378,7 @@ def cd_filtration_descent_check(f: LaxMorphism) -> DescentReport:
         witnesses=() if witness is None else (("filtration", witness),),
         preconditions_checked=("completely-distributive",),
     )
-    frame = frame_effective_descent_check(f)
+    frame = _frame_verdict(f, pre, top_eff)
     if frame.is_effective is not None and frame.is_effective != effective:
         raise InternalInconsistency(
             "filtration criterion disagrees with the frame characterization"

@@ -41,8 +41,10 @@ class FiniteSpace:
     hashing and repr ignore them, and a space that is never asked for them
     stores none of them.  ``index`` maps each point to its position, bit j
     of ``down_masks[i]`` is set iff points[j] <= points[i], ``position_pairs``
-    lists the (i, j) with points[i] <= points[j] row by row, and ``le``
-    contains the pair (x, y) exactly when x <= y.
+    lists the (i, j) with points[i] <= points[j] row by row,
+    ``position_chains`` the (i, j, k) with points[i] <= points[j] <= points[k]
+    by (i, j) in that order and then k, and ``le`` contains the pair (x, y)
+    exactly when x <= y.
     """
 
     points: tuple
@@ -88,6 +90,10 @@ class FiniteSpace:
     position_pairs = cached_property(lambda self: tuple(
         (i, j) for i, row in enumerate(self.up_masks)
         for j in range(row.bit_length()) if row >> j & 1
+    ))
+    position_chains = cached_property(lambda self: tuple(
+        (i, j, k) for i, j in self.position_pairs
+        for k in range(self.up_masks[j].bit_length()) if self.up_masks[j] >> k & 1
     ))
 
     @cached_property

@@ -15,6 +15,9 @@ the references read the all-w and join conditions on labels, through
 masks, so its output is compared with ``lower_ends`` of the reference.
 ``previous_allw_join_coherence`` is the sweep that filtered every triple of
 ``_lax_triples`` before the per-fibre alpha sets replaced it.
+``previous_top_descent_check`` and ``previous_top_effective_descent_check``
+are the checks that read `_pair_lifts` and the images of source up-sets
+before one position-mask test decided both; their reports must be equal.
 """
 
 from functools import lru_cache
@@ -32,7 +35,7 @@ from laxtop.descent import (
     top_effective_descent_check,
 )
 from laxtop.enumeration import canonical_form, enumerate_labeled_preorders
-from laxtop.finspace import build_space, enumerate_cmaps
+from laxtop.finspace import _union, build_space, enumerate_cmaps
 from laxtop.harness import (
     _lax_triples,
     _ValueMasks,
@@ -115,6 +118,41 @@ def reference_top_effective_descent_check(f):
     return DescentReport("top", descent.is_descent, True, witnesses=descent.witnesses)
 
 
+def previous_top_descent_check(f):
+    """`top_descent_check` before the position-mask test: the first pair of
+    `_pair_lifts` with no lower end."""
+    for (j1, j), lifted in _pair_lifts(f).items():
+        if not lifted:
+            pts = f.target.points
+            return DescentReport("top", False, None, witnesses=(("pair", (pts[j1], pts[j])),))
+    return DescentReport("top", True, None)
+
+
+def previous_top_effective_descent_check(f):
+    """`top_effective_descent_check` before the position-mask test: per
+    (b0, b1), the target points b2 >= b1 outside the image of the up-sets of
+    the points over b1 above a point over b0."""
+    descent = previous_top_descent_check(f)
+    image, src_up, tgt_up = f.positions, f.source.up_masks, f.target.up_masks
+    bits, fibre = [1 << j for j in image], f.fibres
+    reach = [_union(bits, up) for up in src_up]  # the image of each source up-set
+    for b0, row in enumerate(tgt_up):
+        above = _union(src_up, fibre[b0])  # every source point above a point over b0
+        for b1, b1_up in enumerate(tgt_up):
+            if row >> b1 & 1:
+                missing = b1_up & ~_union(reach, above & fibre[b1])
+                if missing:
+                    pts = f.target.points
+                    chain = (pts[b0], pts[b1], pts[(missing & -missing).bit_length() - 1])
+                    return DescentReport(
+                        "top",
+                        descent.is_descent,
+                        False,
+                        witnesses=descent.witnesses + (("chain", chain),),
+                    )
+    return DescentReport("top", descent.is_descent, True, witnesses=descent.witnesses)
+
+
 def reference_lax_triples(base, carriers):
     for a_sp in carriers:
         for b_sp in carriers:
@@ -189,13 +227,25 @@ def previous_allw_join_coherence(base, carriers):
     return checked, discrepancies
 
 
-def _all_maps(n):
-    universe = posets_up_to(n)
+def _all_maps(universe):
     return [f for src in universe for tgt in universe for f in enumerate_cmaps(src, tgt)]
 
 
+@lru_cache(maxsize=None)
+def _preorder_classes(n):
+    """One carrier per preorder class on at most n points, from
+    `canonical_form`; those that are not T0 have fibres holding equivalent
+    points, which no poset carrier has."""
+    classes = {}
+    for k in range(1, n + 1):
+        for s in enumerate_labeled_preorders(k):
+            canonical = canonical_form(s)
+            classes.setdefault(canonical.up_masks, canonical)
+    return tuple(classes.values())
+
+
 def test_pair_lifts_match_the_reference_on_every_map():
-    maps = _all_maps(4)
+    maps = _all_maps(posets_up_to(4))
     assert len(maps) == 19702
     for f in maps:
         # dict equality ignores order, so compare the items in order
@@ -205,11 +255,39 @@ def test_pair_lifts_match_the_reference_on_every_map():
 
 def test_effective_descent_verdicts_and_witnesses_match_the_reference():
     refuted = 0
-    for f in _all_maps(4):
+    for f in _all_maps(posets_up_to(4)):
         report = top_effective_descent_check(f)
         assert report == reference_top_effective_descent_check(f), f
         refuted += report.is_effective is False
     assert 0 < refuted < 19702  # both verdicts, and so chain witnesses, occur
+
+
+@pytest.mark.parametrize(
+    "universe, count",
+    [(posets_up_to, 19702), (_preorder_classes, 87389)],
+    ids=["posets", "preorders"],
+)
+def test_descent_reports_match_the_previous_checks(universe, count):
+    maps = _all_maps(universe(4))
+    assert len(maps) == count
+    pairs = chains = 0
+    for f in maps:
+        descent = top_descent_check(f)
+        effective = top_effective_descent_check(f)
+        assert descent == previous_top_descent_check(f), f
+        assert effective == previous_top_effective_descent_check(f), f
+        pairs += descent.is_descent is False
+        chains += effective.is_effective is False
+    assert 0 < pairs < chains < count  # every kind of witness occurs
+
+
+def test_effective_maps_between_preorders_are_descent_maps():
+    carriers = _preorder_classes(4)
+    assert (len(carriers), sum(not s.is_t0() for s in carriers)) == (46, 22)
+    reports = [top_effective_descent_check(f) for f in _all_maps(carriers)]
+    effective = [r for r in reports if r.is_effective]
+    assert (len(reports), len(effective)) == (87389, 930)
+    assert [r for r in effective if not r.is_descent] == []
 
 
 @pytest.mark.parametrize("base", frame_bases(4), ids=repr)
@@ -276,14 +354,7 @@ def test_allw_join_coherence_counts_on_the_non_frames():
 
 
 def test_the_sweeps_count_the_same_on_preorder_carriers():
-    # one carrier per preorder class on at most 3 points; the 5 that are not
-    # T0 have fibres holding equivalent points, which no poset carrier has
-    classes = {}
-    for n in range(1, 4):
-        for s in enumerate_labeled_preorders(n):
-            canonical = canonical_form(s)
-            classes.setdefault(canonical.up_masks, canonical)
-    carriers = tuple(classes.values())
+    carriers = _preorder_classes(3)
     assert (len(carriers), sum(not s.is_t0() for s in carriers)) == (13, 5)
     sweeps = [allw_join_coherence(base, carriers) for base in frame_bases(4)]
     assert sum(checked for checked, _ in sweeps) == 44144
