@@ -9,6 +9,9 @@ are the bit-level code that the shared canonical spaces, the all-distinct
 rank order and the mask transitivity test replaced: a new validated space
 per canonical form, the least matrix always found by ``min`` over every
 class-respecting order, and an ``all()`` over the earlier points.
+``previous_uncached_form`` is the form that the presorted-rows cache
+replaced: refinement and the order search on every call, with the ranks
+taken as the order when every point has its own.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import math
 import pytest
 
 from laxtop.enumeration import (
+    _canonical_rows,
     _refine_colors,
     canonical_form,
     enumerate_labeled_posets,
@@ -25,6 +29,7 @@ from laxtop.enumeration import (
 )
 from laxtop.errors import Budget, CapExceeded
 from laxtop.finspace import FiniteSpace, build_space
+from test_descent_reference import _preorder_classes
 
 
 def _labels(n):
@@ -234,6 +239,45 @@ def previous_canonical_form(space):
     return FiniteSpace(_labels(n), tuple(rows))
 
 
+def _previous_least_order(ranks, above):
+    n = len(ranks)
+    blocks = [[i for i in range(n) if ranks[i] == r] for r in range(max(ranks) + 1)]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, blocks)):
+        perm = list(itertools.chain.from_iterable(parts))
+        bits = [0] * n
+        for a, i in enumerate(perm):
+            bits[i] = 1 << (n - 1 - a)
+        rows = [sum(map(bits.__getitem__, above[i])) for i in perm]
+        if best is None or rows < best:
+            best, least = rows, perm
+    pos = [0] * n
+    for a, i in enumerate(least):
+        pos[i] = a
+    return pos
+
+
+def previous_uncached_form(space):
+    n = len(space.points)
+    below = [[] for _ in range(n)]
+    above = [[] for _ in range(n)]
+    for i, row in enumerate(space.up_masks):
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            above[i].append(j)
+            below[j].append(i)
+            row ^= low
+    ranks = previous_refine_colors(n, [(i, j) for i in range(n) for j in above[i]])
+    pos = ranks if len(set(ranks)) == n else _previous_least_order(ranks, above)
+    bits = [1 << a for a in pos]
+    rows = [0] * n
+    for i, a in enumerate(pos):
+        rows[a] = bits[i] | sum(map(bits.__getitem__, above[i]))
+    return FiniteSpace(_labels(n), tuple(rows))
+
+
 def _below_above(space):
     """For each point, the points strictly below it and strictly above it."""
     n = len(space.points)
@@ -341,19 +385,51 @@ def test_canonical_form_matches_the_previous_form(six_points):
     assert len(spaces) == 4509 + 10002
 
 
+def test_cached_form_matches_the_uncached_form_on_every_small_input(six_points):
+    spaces = [s for n in range(6) for s in enumerate_labeled_posets(n)]
+    spaces += six_points
+    spaces += [s for n in range(5) for s in enumerate_labeled_preorders(n)]
+    for space in spaces:
+        new, old = canonical_form(space), previous_uncached_form(space)
+        assert (new.points, new.up_masks) == (old.points, old.up_masks)
+    assert len(spaces) == 4474 + 130023 + 390
+
+
+def test_canonical_rows_do_not_depend_on_what_the_cache_holds(six_points):
+    forward = [canonical_form(s).up_masks for s in six_points]
+    _canonical_rows.cache_clear()
+    backward = [canonical_form(s).up_masks for s in reversed(six_points)]
+    assert backward[::-1] == forward
+
+
+def test_the_six_point_census_refines_once_per_presorted_shape(six_points):
+    # 440 presorted shapes stand for the 130 023 labeled posets, so
+    # refinement and the order search run 440 times, not once per poset
+    _canonical_rows.cache_clear()
+    for space in six_points:
+        canonical_form(space)
+    info = _canonical_rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (440, 130023 - 440, 440)
+
+
 def test_isomorphic_inputs_share_one_canonical_space():
-    for n in range(1, 5):
-        for rep in enumerate_posets(n):
-            canon = canonical_form(rep)
-            for perm in itertools.permutations(range(n)):
-                # point k of the copy is point perm[k] of rep, under a new label
-                at = {j: k for k, j in enumerate(perm)}
-                rows = tuple(
-                    sum(1 << at[j] for j in range(n) if rep.up_masks[i] >> j & 1)
-                    for i in perm
-                )
-                copy = FiniteSpace(tuple(f"q{j}" for j in perm), rows)
-                assert canonical_form(copy) is canon
+    # the preorders that are not T0 hold equivalent points, which the
+    # presort counts in both directions
+    preorders = _preorder_classes(3)
+    assert len(preorders) == 13
+    reps = [p for n in range(1, 6) for p in enumerate_posets(n)] + list(preorders)
+    for rep in reps:
+        n = len(rep.points)
+        canon = canonical_form(rep)
+        for perm in itertools.permutations(range(n)):
+            # point k of the copy is point perm[k] of rep, under a new label
+            at = {j: k for k, j in enumerate(perm)}
+            rows = tuple(
+                sum(1 << at[j] for j in range(n) if rep.up_masks[i] >> j & 1)
+                for i in perm
+            )
+            copy = FiniteSpace(tuple(f"q{j}" for j in perm), rows)
+            assert canonical_form(copy) is canon
         # equality and hashing stay by value
         twin = FiniteSpace(canon.points, canon.up_masks)
         assert twin == canon and hash(twin) == hash(canon) and twin is not canon
