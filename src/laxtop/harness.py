@@ -56,12 +56,12 @@ from .famx import (
 )
 from .vietoris import vietoris_algebra_check, vietoris_space
 from .descent import (
+    _frame_verdict,
+    _lattice_preamble,
     _lifting,
     _pair_lifts,
     condition_tables,
-    frame_effective_descent_check,
     scp_meet_compat_check,
-    top_effective_descent_check,
 )
 from .enumeration import (
     dedup_by_isomorphism,
@@ -681,33 +681,63 @@ def _lax_triples(base, carriers):
                 yield f, alphas[k], beta, lifts
 
 
+def _pass_tables(values, allw, join):
+    """A carrier's pass tables, indexed [over][bound], `over` being a mask
+    of the carrier's positions: bit k of ``allw_pass[over][bound]`` is set
+    when alpha_k's values over `over` (``values[k][over]``) pass the all-w
+    condition at the bound, and bit k of ``join_pass[over][bound]`` when
+    their join is the bound."""
+    allw_pass, join_pass = [], []
+    for over in range(len(values[0])):
+        masks = [vals[over] for vals in values]
+        allw_pass.append(
+            [sum(1 << k for k, mask in enumerate(masks) if row[mask]) for row in allw]
+        )
+        joins = [0] * len(allw)
+        for k, mask in enumerate(masks):
+            joins[join[mask]] |= 1 << k
+        join_pass.append(joins)
+    return allw_pass, join_pass
+
+
 def allw_join_coherence(base, carriers):
     """Count agreements of the all-w condition with the join condition.
 
     Restricted to the lax triples (f, alpha, beta), alpha <= beta . f, whose
     family image passes descent; returns (checked, discrepancies) in the
-    order of `_lax_triples`, each discrepancy carrying the triple.  Both
-    filters are read fibre by fibre from `_lax_sweep`'s cells, given the
-    all-w table, so only the alphas that pass are visited; the all-w and
-    join conditions of their lifted pairs are then one read each of the
-    base's condition tables.
+    order of `_lax_triples`, each discrepancy carrying the triple and the
+    two verdicts.  Both filters are read fibre by fibre from `_lax_sweep`'s
+    cells, given the all-w table.  Each (f, beta) row is then decided for
+    all its alphas at once: the row's bits are ANDed, per lifted pair, with
+    the source carrier's `_pass_tables` at the pair's lower end and bound,
+    and the alphas whose two ANDs differ are the discrepancies.
     """
     allw, join = condition_tables(base)
     checked = 0
     discrepancies = []
+    coded = None
     for f, alphas, values, rows in _lax_sweep(base, carriers, allw):
-        lifted = [(j1, lower) for (j1, _), lower in _pair_lifts(f).items()]
+        if values is not coded:  # a new source carrier
+            coded = values
+            allw_pass, join_pass = _pass_tables(values, allw, join)
+        lifted = [
+            (j1, allw_pass[lower], join_pass[lower])
+            for (j1, _), lower in _pair_lifts(f).items()
+        ]
         for beta, live in rows:
             bounds = beta.positions
-            while live:
-                k = (live & -live).bit_length() - 1
-                live &= live - 1
-                masks = values[k]
-                allw_ok = all(allw[bounds[j]][masks[over]] for j, over in lifted)
-                join_ok = all(join[masks[over]] == bounds[j] for j, over in lifted)
-                checked += 1
-                if allw_ok != join_ok:
-                    discrepancies.append((f, alphas[k], beta, allw_ok, join_ok))
+            allw_ok = join_ok = live
+            for j1, allw_row, join_row in lifted:
+                allw_ok &= allw_row[bounds[j1]]
+                join_ok &= join_row[bounds[j1]]
+            checked += live.bit_count()
+            differ = allw_ok ^ join_ok
+            while differ:
+                k = (differ & -differ).bit_length() - 1
+                differ &= differ - 1
+                discrepancies.append(
+                    (f, alphas[k], beta, bool(allw_ok >> k & 1), bool(join_ok >> k & 1))
+                )
     return checked, discrepancies
 
 
@@ -769,17 +799,17 @@ def suite_sierpinski_effective(cfg):
     t.passed += checked - len(discrepancies)
     for d in discrepancies:
         t.check(False, d)
-    # tie the description to the public checker on a smaller sweep
+    # tie the description to the frame checker on a smaller sweep, run as its
+    # two steps so that 2-chain lifting is computed once per morphism
     base = spaces.sierpinski()
     carriers = posets_up_to(2)
     objs = lax_objects_over(base, carriers)
     for src in objs:
         for tgt in objs:
             for m in lax_hom(src, tgt):
-                report = frame_effective_descent_check(m)
-                chains_ok = bool(
-                    top_effective_descent_check(m.underlying).is_effective
-                )
+                pre, top_eff = _lattice_preamble(m)
+                report = _frame_verdict(m, pre, top_eff)
+                chains_ok = bool(top_eff.is_effective)
                 closed_lift = closed_part_lifting(
                     src.alpha, tgt.alpha, _pair_lifts(m.underlying)
                 )

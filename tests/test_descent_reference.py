@@ -14,7 +14,11 @@ the references read the all-w and join conditions on labels, through
 ``_pair_lifts`` keeps only the lower ends of the lifted pairs, as position
 masks, so its output is compared with ``lower_ends`` of the reference.
 ``previous_allw_join_coherence`` is the sweep that filtered every triple of
-``_lax_triples`` before the per-fibre alpha sets replaced it.
+``_lax_triples`` before the per-fibre alpha sets replaced it, and read the
+all-w and join conditions alpha by alpha before the per-row pass tables
+did; the current sweep must list the same discrepancies, in the same order
+and with the same two verdicts, also when the join table is tampered with
+so that discrepancies occur, and on carriers that are not T0.
 ``previous_top_descent_check`` and ``previous_top_effective_descent_check``
 are the checks that read `_pair_lifts` and the images of source up-sets
 before one position-mask test decided both; their reports must be equal.
@@ -24,7 +28,7 @@ from functools import lru_cache
 
 import pytest
 
-from laxtop import spaces
+from laxtop import descent, harness, spaces
 from laxtop.descent import (
     DescentReport,
     _all_w_ok,
@@ -337,15 +341,36 @@ def test_allw_join_coherence_matches_the_reference_and_its_cache_traffic(
 
 
 @pytest.mark.parametrize(
-    "base",
-    list(lattice_bases(4)) + list(NON_FRAMES),
-    ids=[repr(b) for b in lattice_bases(4)] + ["N5", "M3"],
+    "base, universe",
+    [pytest.param(b, posets_up_to, id=repr(b)) for b in lattice_bases(4)]
+    + [pytest.param(b, posets_up_to, id=name) for b, name in zip(NON_FRAMES, ("N5", "M3"))]
+    + [pytest.param(b, _preorder_classes, id=f"preorders-{b!r}") for b in frame_bases(4)],
 )
-def test_allw_join_coherence_matches_the_previous_sweep_in_order(base):
-    carriers = posets_up_to(3)
+def test_allw_join_coherence_matches_the_previous_sweep_in_order(base, universe):
+    carriers = universe(3)
     got = allw_join_coherence(base, carriers)
     assert got == previous_allw_join_coherence(base, carriers)
     assert got[0] > 0
+
+
+def _flipped_tables(base):
+    """The condition tables with the join of every third value mask (those
+    of residue 1) moved to the next position, so that the sweep finds
+    discrepancies of both kinds."""
+    allw, join = descent.condition_tables(base)
+    n = len(base.points)
+    return allw, tuple((j + 1) % n if mask % 3 == 1 else j for mask, j in enumerate(join))
+
+
+# the 1-point frame is left out: its join table has nothing to move
+@pytest.mark.parametrize("base", frame_bases(4)[1:], ids=repr)
+def test_allw_join_coherence_lists_discrepancies_as_the_previous_sweep(base, monkeypatch):
+    monkeypatch.setattr(harness, "condition_tables", _flipped_tables)
+    monkeypatch.setitem(globals(), "condition_tables", _flipped_tables)
+    carriers = posets_up_to(3)
+    checked, found = allw_join_coherence(base, carriers)
+    assert (checked, found) == previous_allw_join_coherence(base, carriers)
+    assert {d[3:] for d in found} == {(True, False), (False, True)}
 
 
 def test_allw_join_coherence_counts_on_the_non_frames():
